@@ -1,10 +1,12 @@
 """Exact functional gradients via backward propagation over stored states.
 
-The forward trajectory is kept in memory while step Jacobians are
-re-evaluated on the fly during the backward sweep, so the sweep's auxiliary
-memory is bounded by the sample batch size and does not grow with the number
-of time steps. A central finite-difference fallback serves as the
-independent cross-check.
+The forward trajectory is kept in memory. Each backward step recomputes the
+Runge-Kutta stage states from the stored state and pulls the costate back
+through the stages with model vector-Jacobian products, so no dense step
+Jacobian is formed; with an analytic model VJP the sweep costs about one
+forward pass. Its auxiliary memory is bounded by the sample batch size and
+does not grow with the number of time steps. A central finite-difference
+fallback serves as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
-from .integrators import StepScheme, step_jacobians
+from .integrators import StepScheme, _rk_step_vjp
 from .models import DynamicsModel
 
 # target floats of per-batch Jacobian workspace; keeps the auxiliary footprint
@@ -46,9 +48,8 @@ def _sweep_single_step(scheme, model, states, controls, lam, seed_at, sl):
     n_steps = controls.shape[0]
     du = np.zeros((n_steps, model.m))
     for j in range(n_steps - 1, -1, -1):
-        a_mat, b_mat = step_jacobians(scheme, model, states[j][sl], controls[j])
-        du[j] = np.einsum("mr,mrc->c", lam, b_mat)
-        lam = np.einsum("mr,mrc->mc", lam, a_mat)
+        lam, lam_u = _rk_step_vjp(scheme, model, states[j][sl], controls[j], lam)
+        du[j] = lam_u.sum(axis=0)
         seed = seed_at(j)
         if seed is not None:
             lam = lam + seed[sl]
@@ -59,9 +60,9 @@ def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl):
     """Backward recursion for Adams-Bashforth maps.
 
     Each rhs value f(x_p, u_p) feeds up to s later updates, so the adjoint at
-    node p collects the weighted future costates before applying the model
-    Jacobians; startup steps integrated by the bootstrap Runge-Kutta scheme
-    use its exact step Jacobians instead.
+    node p collects the weighted future costates before one model VJP;
+    startup steps integrated by the bootstrap Runge-Kutta scheme add its
+    reverse stage pass.
     """
     s = scheme.ab_steps
     w = scheme.weights
@@ -77,17 +78,14 @@ def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl):
         for j in range(max(p, s - 1), min(p + s - 1, n_steps - 1) + 1):
             gather += w[j - p] * lam_ahead[j - p]
         gather *= dt
-        jx = model.jac_x(x_p, u_p)
-        ju = model.jac_u(x_p, u_p)
+        lam_x, lam_u = model.vjp(x_p, u_p, gather)
         if p <= s - 2:
-            a_mat, b_mat = step_jacobians(boot, model, x_p, u_p)
-            du[p] = np.einsum("mr,mrc->c", lam_ahead[0], b_mat)
-            du[p] += np.einsum("mr,mrc->c", gather, ju)
-            lam_p = np.einsum("mr,mrc->mc", lam_ahead[0], a_mat)
-            lam_p += np.einsum("mr,mrc->mc", gather, jx)
+            boot_x, boot_u = _rk_step_vjp(boot, model, x_p, u_p, lam_ahead[0])
+            lam_p = boot_x + lam_x
+            lam_u = boot_u + lam_u
         else:
-            du[p] = np.einsum("mr,mrc->c", gather, ju)
-            lam_p = lam_ahead[0] + np.einsum("mr,mrc->mc", gather, jx)
+            lam_p = lam_ahead[0] + lam_x
+        du[p] = lam_u.sum(axis=0)
         seed = seed_at(p)
         if seed is not None:
             lam_p = lam_p + seed[sl]

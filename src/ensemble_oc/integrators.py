@@ -1,12 +1,16 @@
-"""Fixed-step explicit one-step maps and their exact Jacobians.
+"""Fixed-step explicit one-step maps and their exact derivatives.
 
 Every scheme realizes a discrete map x_{j+1} = Q(x_j, u_j) with the control
-held constant over the step. Runge-Kutta step Jacobians dQ/dx and dQ/du are
-assembled exactly by chaining the model Jacobians through the stages.
-Adams-Bashforth schemes combine the latest rhs evaluations with the standard
-weight tables and bootstrap their startup steps with a Runge-Kutta method of
-matching order; their multi-step structure is differentiated inside the
-backward sweep rather than through `step_jacobians`.
+held constant over the step. Backward sweeps differentiate a Runge-Kutta
+step in reverse mode: the stage states are recomputed and the stages are
+walked backward through the transposed tableau with one model
+vector-Jacobian product each, so no dense step Jacobian is formed. The dense
+step Jacobians dQ/dx and dQ/du, assembled by chaining the model Jacobians
+through the stages, stay available in `step_jacobians` as an independent
+reference. Adams-Bashforth schemes combine the latest rhs evaluations with
+the standard weight tables and bootstrap their startup steps with a
+Runge-Kutta method of matching order; their multi-step structure is
+differentiated inside the backward sweep.
 """
 
 from __future__ import annotations
@@ -209,6 +213,43 @@ def step_jacobians(scheme: StepScheme, model: DynamicsModel, x, u):
     a_mat = eye + dt * sum(bi * d for bi, d in zip(b, dk_dx))
     b_mat = dt * sum(bi * d for bi, d in zip(b, dk_du))
     return a_mat, b_mat
+
+
+def _rk_step_vjp(scheme: StepScheme, model: DynamicsModel, x, u, lam):
+    """Reverse pass of one Runge-Kutta step: (lam . dQ/dx, lam . dQ/du).
+
+    The stage states of the forward step are recomputed with `rhs`, then the
+    stages are walked backward through the transposed Butcher tableau with
+    one model VJP per stage (Sandu 2006, "On the properties of Runge-Kutta
+    discrete adjoints"). Rows stay per sample: shapes (..., n) and (..., m).
+    The caller guarantees a one-step scheme with a bound step size.
+    """
+    kind = "euler" if scheme.ab_steps == 1 else scheme.kind
+    a, b, _ = _BUTCHER[kind]
+    dt = scheme._require_dt()
+    n_stages = b.size
+    # the last stage's rhs feeds no later stage, so it is never recomputed
+    points, stages = [], []
+    for i in range(n_stages):
+        xi = x
+        for j in range(i):
+            if a[i, j] != 0.0:
+                xi = xi + dt * a[i, j] * stages[j]
+        points.append(xi)
+        if i < n_stages - 1:
+            stages.append(model.rhs(xi, u))
+
+    point_bars = [None] * n_stages
+    lam_x, lam_u = lam, 0.0
+    for i in range(n_stages - 1, -1, -1):
+        stage_bar = (dt * b[i]) * lam
+        for k in range(i + 1, n_stages):
+            if a[k, i] != 0.0:
+                stage_bar = stage_bar + (dt * a[k, i]) * point_bars[k]
+        point_bars[i], u_bar = model.vjp(points[i], u, stage_bar)
+        lam_x = lam_x + point_bars[i]
+        lam_u = lam_u + u_bar
+    return lam_x, lam_u
 
 
 def _control_at(controls: np.ndarray, j: int) -> np.ndarray:

@@ -4,7 +4,10 @@ All models evaluate batch-wise: states have shape (..., n) with the leading
 axes ranging over samples, controls have shape (..., m) broadcastable against
 the state batch (typically (m,) shared across samples or (M, m) per sample).
 rhs returns (..., n), jac_x returns (..., n, n) and jac_u returns (..., n, m).
-Models are stateless after construction and safe to call concurrently.
+vjp(x, u, lam) returns the row-vector products (lam . f_x, lam . f_u) with
+shapes (..., n) and (..., m); the backward sweeps use it instead of the dense
+Jacobians. Models are stateless after construction and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -27,7 +30,11 @@ def _first_bad_sample(mask: np.ndarray):
 
 
 class DynamicsModel:
-    """Interface shared by every model: n, m, name, rhs, jac_x, jac_u."""
+    """Interface shared by every model: n, m, name, rhs, jac_x, jac_u, vjp.
+
+    A model needs only rhs, jac_x and jac_u; vjp defaults to contracting the
+    dense Jacobians and is an optional speed override.
+    """
 
     n: int
     m: int
@@ -42,6 +49,11 @@ class DynamicsModel:
 
     def jac_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def vjp(self, x: np.ndarray, u: np.ndarray, lam: np.ndarray):
+        """(lam . f_x, lam . f_u) with shapes (..., n) and (..., m)."""
+        lam = np.asarray(lam, dtype=float)[..., None, :]
+        return (lam @ self.jac_x(x, u))[..., 0, :], (lam @ self.jac_u(x, u))[..., 0, :]
 
     def _check_dims(self, x: np.ndarray, u: np.ndarray):
         if x.shape[-1] != self.n:
@@ -116,6 +128,24 @@ class UgvDifferentialDrive(DynamicsModel):
         jac[..., 2, 1] = r
         return jac
 
+    def vjp(self, x, u, lam):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        self._check_dims(x, u)
+        r = self._radius(x)
+        c3, s3 = np.cos(x[..., 2]), np.sin(x[..., 2])
+        batch = np.broadcast_shapes(_batch_shape(x, u), lam.shape[:-1])
+        along = lam[..., 0] * c3 + lam[..., 1] * s3  # lam . (cos x3, sin x3)
+        lam_x = np.zeros(batch + (self.n,))
+        lam_x[..., 2] = r * u[..., 0] * (lam[..., 1] * c3 - lam[..., 0] * s3)
+        if self.random_radius:
+            lam_x[..., 3] = u[..., 0] * along + u[..., 1] * lam[..., 2]
+        lam_u = np.empty(batch + (self.m,))
+        lam_u[..., 0] = r * along
+        lam_u[..., 1] = r * lam[..., 2]
+        return lam_x, lam_u
+
 
 class UgvBicycle(DynamicsModel):
     """Bicycle-steered ground vehicle with wheelbase L.
@@ -173,6 +203,23 @@ class UgvBicycle(DynamicsModel):
         jac[..., 2, 0] = np.tan(u[..., 1]) / self.wheelbase
         jac[..., 2, 1] = u[..., 0] / (self.wheelbase * np.cos(u[..., 1]) ** 2)
         return jac
+
+    def vjp(self, x, u, lam):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        self._check_dims(x, u)
+        self._check_steering(u)
+        c3, s3 = np.cos(x[..., 2]), np.sin(x[..., 2])
+        batch = np.broadcast_shapes(_batch_shape(x, u), lam.shape[:-1])
+        lam_x = np.zeros(batch + (self.n,))
+        lam_x[..., 2] = u[..., 0] * (lam[..., 1] * c3 - lam[..., 0] * s3)
+        lam_u = np.empty(batch + (self.m,))
+        lam_u[..., 0] = (
+            lam[..., 0] * c3 + lam[..., 1] * s3 + lam[..., 2] * np.tan(u[..., 1]) / self.wheelbase
+        )
+        lam_u[..., 1] = lam[..., 2] * u[..., 0] / (self.wheelbase * np.cos(u[..., 1]) ** 2)
+        return lam_x, lam_u
 
 
 class FixedWingUav(DynamicsModel):
@@ -433,3 +480,16 @@ class ChebyshevReactionDiffusion(DynamicsModel):
         jac = np.zeros(_batch_shape(x, u) + (self.n, self.m))
         jac[..., :, 0] = self.indicator
         return jac
+
+    def vjp(self, x, u, lam):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        self._check_dims(x, u)
+        ops = self.operators
+        d1psi = x @ ops.d1.T
+        expf = np.exp(-x / self.decay_scale)
+        diag = d1psi + self.reaction * expf * (1.0 - x / self.decay_scale)
+        lam_x = (lam * x) @ ops.d1 + self.diffusion * (lam @ ops.d2) + lam * diag
+        lam_u = (lam @ self.indicator)[..., None]
+        return lam_x, lam_u

@@ -2,10 +2,10 @@
 
 Workflow: propagate a fresh ensemble forward under the fixed candidate,
 integrate the costates backward with the exact discrete adjoint of the same
-scheme (transposed step Jacobians), then minimize the sample-mean Hamiltonian
-pointwise in time and report how far the candidate sits from that minimizer.
-Small discrepancy means the candidate satisfies the necessary optimality
-conditions; it is not a proof of optimality.
+scheme (the reverse Runge-Kutta stage pass), then minimize the sample-mean
+Hamiltonian pointwise in time and report how far the candidate sits from
+that minimizer. Small discrepancy means the candidate satisfies the
+necessary optimality conditions; it is not a proof of optimality.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
 from .grids import ControlSchedule, EnsembleTrajectory, ShootingPlan
-from .integrators import StepScheme, propagate_segment, step_jacobians
+from .integrators import StepScheme, _rk_step_vjp, propagate_segment
 from .models import DynamicsModel
 from .sampling import sample_initial_ensemble
 from .transcription import OcProblem
@@ -63,9 +63,10 @@ def adjoint_sweep(
 ) -> AdjointTrajectory:
     """Backward costate integration from lambda(t_f) = terminal_grad rows.
 
-    Uses the transposed Jacobians of the forward one-step map, so the sweep
-    is the exact adjoint of the forward discretization. The trajectory must
-    come from a continuous forward propagation under the same controls.
+    Pulls the costate back through the stages of the forward one-step map,
+    so the sweep is the exact adjoint of the forward discretization. The
+    trajectory must come from a continuous forward propagation under the
+    same controls.
     running_seed(k, j) may inject per-node d(cost)/dx contributions when the
     functional carries a state-dependent running term.
     """
@@ -85,8 +86,7 @@ def adjoint_sweep(
         costates = np.empty_like(states)
         costates[-1] = lam
         for j in range(u_block.shape[0] - 1, -1, -1):
-            a_mat, _ = step_jacobians(seg_scheme, model, states[j], u_block[j])
-            lam = np.einsum("mr,mrc->mc", lam, a_mat)
+            lam, _ = _rk_step_vjp(seg_scheme, model, states[j], u_block[j], lam)
             if running_seed is not None:
                 seed = running_seed(k, j)
                 if seed is not None:

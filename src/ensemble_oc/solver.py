@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, PropagationError
+from .errors import DomainError, ParameterError, PropagationError
 from . import transcription as tr
 from .transcription import NlpPoint, OcProblem
 
@@ -379,7 +379,7 @@ class _MeritEvaluator:
             point = NlpPoint.from_vector(self.problem, self.to_physical(z))
             merit, *_ = self.components(point, mu, nu, rho)
             return merit
-        except (PropagationError, BarrierInfeasible):
+        except (PropagationError, DomainError, BarrierInfeasible):
             return math.inf
 
     def value_grad(self, z: np.ndarray, mu: float, nu: float, rho: float):
@@ -482,7 +482,7 @@ class _ReducedEvaluator:
             if mu > 0.0:
                 merit += barrier_value_and_gradient(z, self.lo_vec, self.hi_vec, mu)[0]
             return merit
-        except (PropagationError, BarrierInfeasible):
+        except (PropagationError, DomainError, BarrierInfeasible):
             return math.inf
 
     def value_grad(self, z, mu):
@@ -532,10 +532,17 @@ def solve(
     nu = 0.0
     rho = cfg.penalty_rho0 if problem.n_segments > 1 else 0.0
 
+    def components_at(z, mu, nu, rho):
+        return ev.components(NlpPoint.from_vector(problem, ev.to_physical(z)), mu, nu, rho)
+
     try:
-        first = ev.value(x, mu, nu, rho)
-    except PropagationError as err:
-        raise ParameterError(f"initial guess does not propagate: {err}") from err
+        first = components_at(x, mu, nu, rho)[0]
+    except (PropagationError, DomainError) as err:
+        raise ParameterError(
+            f"initial guess does not propagate (sample {err.sample_index}): {err}"
+        ) from err
+    except BarrierInfeasible:
+        first = math.inf
     if not np.isfinite(first):
         raise ParameterError(
             "objective is not finite at the initial guess (propagation diverged "
@@ -559,7 +566,7 @@ def solve(
                 merit, grad, _, c = ev.value_grad(z, cur_mu, cur_nu, cur_rho)
                 last_cres[0] = c
                 return merit, grad
-            except (PropagationError, BarrierInfeasible):
+            except (PropagationError, DomainError, BarrierInfeasible):
                 return math.inf, np.zeros_like(z)
 
         def value_only(z):
@@ -573,7 +580,8 @@ def solve(
         )
         total_inner += iters
         ginf = float(np.max(np.abs(g))) if g.size else 0.0
-        _, _, obj, cres = ev.value_grad(x, mu, nu, rho)
+        # forward-only: the round's objective and residual need no sweep
+        obj, cres = components_at(x, mu, nu, rho)[1:3]
         history.append(
             OuterRecord(outer, mu, rho, nu, merit, obj, cres, ginf, iters)
         )
@@ -614,7 +622,7 @@ def solve(
             try:
                 merit2, grad2, *_ = red.value_grad(z, mu2)
                 return merit2, grad2
-            except (PropagationError, BarrierInfeasible):
+            except (PropagationError, DomainError, BarrierInfeasible):
                 return math.inf, np.zeros_like(z)
 
         try:

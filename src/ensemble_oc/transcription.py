@@ -61,8 +61,12 @@ class CostSpec:
         return self.terminal_weights * (x - self.terminal_target)
 
     def running_value(self, x: np.ndarray) -> np.ndarray:
+        # in place: x may be a whole trajectory stack, so each temporary
+        # would be as large as the stack itself
         d = x - self.running_target
-        return 0.5 * (d * d) @ self.running_weights
+        d *= d
+        d *= 0.5
+        return d @ self.running_weights
 
     def running_grad(self, x: np.ndarray) -> np.ndarray:
         return self.running_weights * (x - self.running_target)
@@ -260,7 +264,10 @@ def objective_seeds(problem: OcProblem, segs):
     if cost.has_running:
         for k, (seg, states) in enumerate(zip(problem.plan.segments, segs)):
             arr = np.zeros_like(states)
-            arr[:-1] = (seg.dt / M) * cost.running_grad(states[:-1])
+            # running_grad(states[:-1]) * dt / M, built in place in arr
+            np.subtract(states[:-1], cost.running_target, out=arr[:-1])
+            arr[:-1] *= cost.running_weights
+            arr[:-1] *= seg.dt / M
             running[k] = arr
     return terminal, running
 

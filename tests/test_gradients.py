@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_uav_state
 from ensemble_oc import (
+    ChebyshevReactionDiffusion,
+    FixedWingUav,
     StepScheme,
     UgvBicycle,
     UgvDifferentialDrive,
     backward_gradient,
     fd_gradient,
     propagate_segment,
+    step_jacobians,
 )
 from test_integrators import Linear1d, Zero
 
@@ -61,6 +65,78 @@ def test_backward_matches_fd_all_schemes(kind, rng):
     fd_x = fd_gradient(terminal_of_x, x0.ravel()).reshape(4, 3)
     assert np.abs(g_u - fd_u).max() <= 1e-6
     assert np.abs(g_x0 - fd_x).max() <= 1e-6
+
+
+def _reference_sweep(scheme, model, states, controls, terminal_seed, running):
+    """The dense-Jacobian sweep over all samples at once: step Jacobians for
+    one-step maps and bootstrap steps, model Jacobians contracted with the
+    gathered Adams-Bashforth costates for the multi-step updates."""
+    n_steps = controls.shape[0]
+    s = scheme.ab_steps if scheme.ab_steps else 1
+    w, dt = scheme.weights, scheme.dt
+    du = np.zeros((n_steps, model.m))
+    lam_ahead = [terminal_seed + running[n_steps]]  # costates at nodes p+1, p+2, ...
+    for p in range(n_steps - 1, -1, -1):
+        x_p, u_p = states[p], controls[p]
+        if s == 1:
+            a_mat, b_mat = step_jacobians(scheme, model, x_p, u_p)
+            du[p] = np.einsum("mr,mrc->c", lam_ahead[0], b_mat)
+            lam_p = np.einsum("mr,mrc->mc", lam_ahead[0], a_mat)
+        else:
+            gather = np.zeros_like(lam_ahead[0])
+            for j in range(max(p, s - 1), min(p + s - 1, n_steps - 1) + 1):
+                gather += dt * w[j - p] * lam_ahead[j - p]
+            du[p] = np.einsum("mr,mrc->c", gather, model.jac_u(x_p, u_p))
+            lam_p = np.einsum("mr,mrc->mc", gather, model.jac_x(x_p, u_p))
+            if p <= s - 2:
+                a_mat, b_mat = step_jacobians(scheme.bootstrap(), model, x_p, u_p)
+                du[p] += np.einsum("mr,mrc->c", lam_ahead[0], b_mat)
+                lam_p += np.einsum("mr,mrc->mc", lam_ahead[0], a_mat)
+            else:
+                lam_p += lam_ahead[0]
+        lam_ahead.insert(0, lam_p + running[p])
+    return du, lam_ahead[0]
+
+
+def _sweep_case(name, rng):
+    """(model, dt, x0, controls) with samples spread over several batches."""
+    n_steps, n_samples = 11, 7
+    if name == "uav":
+        x0 = np.stack([random_uav_state(rng) for _ in range(n_samples)])
+        x0[:, 3] = rng.uniform(22.0, 30.0, n_samples)
+        x0[:, 4] = rng.uniform(-0.1, 0.1, n_samples)
+        return FixedWingUav(), 0.01, x0, rng.uniform(-0.05, 0.05, (n_steps, 3))
+    if name == "chebyshev":
+        model = ChebyshevReactionDiffusion(n_nodes=8)
+        x0 = 0.5 * rng.standard_normal((n_samples, 8))
+        return model, 0.002, x0, rng.uniform(-1, 1, (n_steps, 1))
+    x0 = rng.uniform(-0.3, 0.3, (n_samples, 4))
+    x0[:, 3] = rng.uniform(1.0, 1.5, n_samples)
+    model = UgvDifferentialDrive(random_radius=True)
+    return model, 0.05, x0, rng.uniform(-1, 1, (n_steps, 2))
+
+
+@pytest.mark.parametrize("kind", ["euler", "rk2", "rk3", "rk4", "ab2", "ab3"])
+@pytest.mark.parametrize("name", ["ugv", "uav", "chebyshev"])
+def test_stage_reverse_sweep_matches_dense_reference(name, kind, rng):
+    model, dt, x0, controls = _sweep_case(name, rng)
+    scheme = StepScheme(kind, dt)
+    states = propagate_segment(scheme, model, x0, controls)
+    seed = rng.standard_normal(x0.shape)
+    running = 0.1 * rng.standard_normal(states.shape)
+    ref_u, ref_x = _reference_sweep(scheme, model, states, controls, seed, running)
+    results = [
+        backward_gradient(
+            scheme, model, states, controls, seed, running_seed=running,
+            batch_size=3, workers=workers,
+        )
+        for workers in (1, 2)
+    ]
+    g_u, g_x = results[0]
+    assert np.abs(g_u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+    assert np.abs(g_x - ref_x).max() <= 1e-12 * np.abs(ref_x).max()
+    np.testing.assert_array_equal(results[1][0], g_u)
+    np.testing.assert_array_equal(results[1][1], g_x)
 
 
 def test_running_seed_accumulates(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_jac_x, fd_jac_u, random_uav_state
 from ensemble_oc import (
@@ -9,6 +11,7 @@ from ensemble_oc import (
     UgvBicycle,
     UgvDifferentialDrive,
 )
+from ensemble_oc.models import DynamicsModel
 
 
 def _rel_err(analytic, approx):
@@ -159,3 +162,88 @@ class TestChebyshevReactionDiffusion:
             errors.append(err)
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-8
+
+
+class Pendulum(DynamicsModel):
+    """Pendulum with control-set damping and a quadratic input; it defines
+    no vjp of its own, so the base-class default is the one under test."""
+
+    n = 2
+    m = 2
+    name = "pendulum"
+
+    def rhs(self, x, u):
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2,))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = -np.sin(x[..., 0]) + u[..., 0] * x[..., 1] + u[..., 1] ** 2
+        return out
+
+    def jac_x(self, x, u):
+        jac = np.zeros(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2, 2))
+        jac[..., 0, 1] = 1.0
+        jac[..., 1, 0] = -np.cos(x[..., 0])
+        jac[..., 1, 1] = u[..., 0]
+        return jac
+
+    def jac_u(self, x, u):
+        jac = np.zeros(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2, 2))
+        jac[..., 1, 0] = x[..., 1]
+        jac[..., 1, 1] = 2.0 * u[..., 1]
+        return jac
+
+
+_VJP_MODELS = {
+    "ugv": lambda: UgvDifferentialDrive(random_radius=False, radius=1.25),
+    "ugv-random-radius": lambda: UgvDifferentialDrive(random_radius=True),
+    "bicycle": lambda: UgvBicycle(wheelbase=1.3),
+    "uav": FixedWingUav,
+    "chebyshev-8": lambda: ChebyshevReactionDiffusion(n_nodes=8),
+    "chebyshev-16": lambda: ChebyshevReactionDiffusion(n_nodes=16),
+    "custom-default": Pendulum,
+}
+
+
+def _vjp_inputs(model, rng, n_samples, shared):
+    if isinstance(model, FixedWingUav):
+        x = np.stack([random_uav_state(rng) for _ in range(n_samples)])
+        u = rng.uniform(-0.05, 0.05, (n_samples, model.m))
+    elif isinstance(model, ChebyshevReactionDiffusion):
+        x = rng.uniform(-1.5, 1.5, (n_samples, model.n))
+        u = rng.uniform(-2.0, 2.0, (n_samples, model.m))
+    else:
+        x = rng.uniform(-1.0, 1.0, (n_samples, model.n))
+        if model.n == 4:
+            x[:, 3] = rng.uniform(1.0, 1.5, n_samples)
+        u = rng.uniform(-0.9, 0.9, (n_samples, model.m))
+    lam = rng.standard_normal((n_samples, model.n))
+    return x, (u[0] if shared else u), lam
+
+
+def _assert_rel_close(actual, reference, rtol=1e-12):
+    assert actual.shape == reference.shape
+    assert np.abs(actual - reference).max() <= rtol * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("name", sorted(_VJP_MODELS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 6), shared=st.booleans())
+def test_vjp_matches_transposed_jacobians(name, seed, n_samples, shared):
+    model = _VJP_MODELS[name]()
+    rng = np.random.Generator(np.random.Philox(seed))
+    x, u, lam = _vjp_inputs(model, rng, n_samples, shared)
+    lam_x, lam_u = model.vjp(x, u, lam)
+    _assert_rel_close(lam_x, np.einsum("mr,mrc->mc", lam, model.jac_x(x, u)))
+    _assert_rel_close(lam_u, np.einsum("mr,mrc->mc", lam, model.jac_u(x, u)))
+
+
+def test_uav_vjp_raises_like_jacobian(rng):
+    model = FixedWingUav()
+    x = np.stack([random_uav_state(rng) for _ in range(4)])
+    x[2, 4] = np.pi / 2
+    u = np.zeros(3)
+    with pytest.raises(DomainError) as jac_err:
+        model.jac_x(x, u)
+    with pytest.raises(DomainError) as vjp_err:
+        model.vjp(x, u, np.ones_like(x))
+    assert str(vjp_err.value) == str(jac_err.value)
+    assert vjp_err.value.sample_index == jac_err.value.sample_index == 2

@@ -243,3 +243,70 @@ def test_iteration_log_stream():
     solve(problem, log=lines.append)
     assert any(line.startswith("outer") for line in lines)
     assert any("merit=" in line for line in lines)
+
+
+class CappedDrift(eoc.DynamicsModel):
+    """x' = u, valid only while |x| < 2: past it every method raises."""
+
+    n = 1
+    m = 1
+    control_affine = True
+    name = "capped_drift"
+
+    def _check(self, x):
+        bad = np.abs(x[..., 0]) >= 2.0
+        if np.any(bad):
+            raise eoc.DomainError(
+                "|x| must stay below 2", sample_index=int(np.flatnonzero(bad)[0])
+            )
+
+    def rhs(self, x, u):
+        self._check(x)
+        return np.broadcast_to(u, x.shape).copy()
+
+    def jac_x(self, x, u):
+        self._check(x)
+        return np.zeros(x.shape + (1,))
+
+    def jac_u(self, x, u):
+        self._check(x)
+        return np.ones(x.shape + (1,))
+
+
+def _capped_problem():
+    # a heavy terminal weight makes the first quasi-Newton trial (u ~ 15)
+    # overshoot the valid region; shorter trials reach the target at 1.5
+    return eoc.OcProblem(
+        model=CappedDrift(),
+        plan=eoc.uniform_plan(1.0, 1, 0.1),
+        scheme=eoc.StepScheme("euler"),
+        initial=eoc.RandomInputSpec((eoc.Uniform(-0.1, 0.1),)),
+        M=3,
+        cost=eoc.CostSpec(terminal_weights=np.array([100.0]), terminal_target=np.array([1.5])),
+        control_lo=np.array([-np.inf]),
+        control_hi=np.array([np.inf]),
+        seed=4,
+    )
+
+
+def test_domain_error_in_trial_is_a_rejected_trial():
+    problem = _capped_problem()
+    start = tr.default_start(problem)
+    g = tr.objective_gradient(problem, start)[1].to_vector()
+    with pytest.raises(eoc.DomainError):  # the unit first trial leaves the region
+        tr.evaluate_objective(problem, NlpPoint.from_vector(problem, -g))
+    report = solve(problem)
+    assert report.status in (SolveStatus.converged, SolveStatus.iteration_limit)
+    assert report.objective < tr.evaluate_objective(problem, start)
+
+
+def test_domain_error_at_initial_guess_names_sample():
+    problem = _capped_problem()
+    x0 = tr.initial_ensemble(problem)[:, 0]
+    order = np.argsort(x0)
+    worst, gap = order[-1], x0[order[-1]] - x0[order[-2]]
+    # only the largest sample reaches |x| = 2, at the last node where the
+    # rhs is evaluated (t = 0.9)
+    u = np.full((10, 1), (2.0 - x0[worst] + 0.5 * gap) / 0.9)
+    with pytest.raises(eoc.ParameterError, match=f"sample {worst}"):
+        solve(problem, initial_guess=NlpPoint((u,), ()))
