@@ -16,7 +16,9 @@ import numpy as np
 
 from . import problems, reporting
 from . import transcription as tr
-from .errors import ParameterError
+from .errors import (
+    DomainError, EmptyEnsembleError, ParameterError, PropagationError, ShapeMismatchError,
+)
 from .grids import uniform_plan
 from .integrators import StepScheme
 from .models import (
@@ -320,7 +322,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as err:
+    except (ConfigError, ParameterError, PropagationError, DomainError,
+            ShapeMismatchError, EmptyEnsembleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

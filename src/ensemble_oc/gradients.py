@@ -5,8 +5,10 @@ Runge-Kutta stage states from the stored state and pulls the costate back
 through the stages with model vector-Jacobian products, so no dense step
 Jacobian is formed; with an analytic model VJP the sweep costs about one
 forward pass. Its auxiliary memory is bounded by the sample batch size and
-does not grow with the number of time steps. A central finite-difference
-fallback serves as the independent cross-check.
+does not grow with the number of time steps. On request the sweep also
+records the costate at every node (`costates`), which is the discrete
+adjoint trajectory of the minimum-principle check. A central
+finite-difference fallback serves as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _seed_accessor(running_seed, n_nodes):
     return lambda j: arr[j]
 
 
-def _sweep_single_step(scheme, model, states, controls, lam, seed_at, sl):
+def _sweep_single_step(scheme, model, states, controls, lam, seed_at, sl, costates):
     """Backward recursion for one-step schemes over one sample batch."""
     n_steps = controls.shape[0]
     du = np.zeros((n_steps, model.m))
@@ -53,10 +55,12 @@ def _sweep_single_step(scheme, model, states, controls, lam, seed_at, sl):
         seed = seed_at(j)
         if seed is not None:
             lam = lam + seed[sl]
+        if costates is not None:
+            costates[j, sl] = lam
     return du, lam
 
 
-def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl):
+def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl, costates):
     """Backward recursion for Adams-Bashforth maps.
 
     Each rhs value f(x_p, u_p) feeds up to s later updates, so the adjoint at
@@ -89,6 +93,8 @@ def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl):
         seed = seed_at(p)
         if seed is not None:
             lam_p = lam_p + seed[sl]
+        if costates is not None:
+            costates[p, sl] = lam_p
         lam_ahead.insert(0, lam_p)
         del lam_ahead[s:]
     return du, lam_ahead[0]
@@ -103,6 +109,7 @@ def backward_gradient(
     running_seed=None,
     batch_size: int | None = None,
     workers: int = 1,
+    costates: np.ndarray | None = None,
 ):
     """Gradient of a seeded scalar functional over one shooting segment.
 
@@ -111,6 +118,9 @@ def backward_gradient(
     terminal_seed: (M, n) rows holding each sample's d(scalar)/dx at the
     segment end. running_seed optionally supplies additional per-node seeds,
     either as an (N + 1, M, n) array or as a callable j -> (M, n) or None.
+    costates, when given, is an (N + 1, M, n) array that receives the
+    costate at every node, running seeds included; its row 0 equals the
+    returned initial-state gradient.
 
     Returns (dJ/dU, dJ/dX0) with shapes (N, m) and (M, n); the control
     gradient is summed over samples, the initial-state gradient is per
@@ -132,6 +142,8 @@ def backward_gradient(
         )
     if scheme.dt is None:
         raise ParameterError("scheme must have a bound step size")
+    if costates is not None and costates.shape != states.shape:
+        raise ShapeMismatchError(f"costate output shape {costates.shape} != {states.shape}")
 
     n_samples = states.shape[1]
     seed_at = _seed_accessor(running_seed, states.shape[0])
@@ -146,9 +158,10 @@ def backward_gradient(
         seed = seed_at(controls.shape[0])
         if seed is not None:
             lam += seed[sl]
-        if multi:
-            return _sweep_multi_step(scheme, model, states, controls, lam, seed_at, sl)
-        return _sweep_single_step(scheme, model, states, controls, lam, seed_at, sl)
+        if costates is not None:
+            costates[-1, sl] = lam
+        sweep = _sweep_multi_step if multi else _sweep_single_step
+        return sweep(scheme, model, states, controls, lam, seed_at, sl, costates)
 
     if workers > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

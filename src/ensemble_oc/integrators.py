@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, PropagationError, ShapeMismatchError
+from .errors import DomainError, ParameterError, PropagationError, ShapeMismatchError
 from .models import DynamicsModel
 
 # (stage matrix, weights, abscissae)
@@ -283,36 +283,41 @@ def propagate_segment(
     out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x0
 
-    s = scheme.ab_steps
-    if s is None or s == 1:
-        rk = scheme if s is None else StepScheme("euler", scheme.dt)
-        for j in range(n_steps):
-            try:
-                out[j + 1] = _rk_step(rk, model, out[j], _control_at(controls, j))
-                _check_finite(out[j + 1], step_index=j)
-            except PropagationError as err:
-                raise PropagationError(
-                    f"propagation failed at step {j}: {err}",
-                    sample_index=err.sample_index,
-                    step_index=j,
-                ) from None
-        return out
+    j = 0  # the step a model DomainError is attributed to
+    try:
+        s = scheme.ab_steps
+        if s is None or s == 1:
+            rk = scheme if s is None else StepScheme("euler", scheme.dt)
+            for j in range(n_steps):
+                try:
+                    out[j + 1] = _rk_step(rk, model, out[j], _control_at(controls, j))
+                    _check_finite(out[j + 1], step_index=j)
+                except PropagationError as err:
+                    raise PropagationError(
+                        f"propagation failed at step {j}: {err}",
+                        sample_index=err.sample_index,
+                        step_index=j,
+                    ) from None
+            return out
 
-    boot = scheme.bootstrap() if s > 1 else scheme
-    w = _AB_WEIGHTS[s]
-    dt = scheme._require_dt()
-    history: list[np.ndarray] = []  # rhs values, most recent first
-    for j in range(n_steps):
-        uj = _control_at(controls, j)
-        fj = model.rhs(out[j], uj)
-        if j < s - 1:
-            out[j + 1] = _rk_step(boot, model, out[j], uj)
-        else:
-            acc = w[0] * fj
-            for q in range(1, s):
-                acc = acc + w[q] * history[q - 1]
-            out[j + 1] = out[j] + dt * acc
-        _check_finite(out[j + 1], step_index=j)
-        history.insert(0, fj)
-        del history[s - 1 :]
-    return out
+        boot = scheme.bootstrap() if s > 1 else scheme
+        w = _AB_WEIGHTS[s]
+        dt = scheme._require_dt()
+        history: list[np.ndarray] = []  # rhs values, most recent first
+        for j in range(n_steps):
+            uj = _control_at(controls, j)
+            fj = model.rhs(out[j], uj)
+            if j < s - 1:
+                out[j + 1] = _rk_step(boot, model, out[j], uj)
+            else:
+                acc = w[0] * fj
+                for q in range(1, s):
+                    acc = acc + w[q] * history[q - 1]
+                out[j + 1] = out[j] + dt * acc
+            _check_finite(out[j + 1], step_index=j)
+            history.insert(0, fj)
+            del history[s - 1 :]
+        return out
+    except DomainError as err:
+        err.step_index = j
+        raise

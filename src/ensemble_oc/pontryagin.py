@@ -2,10 +2,12 @@
 
 Workflow: propagate a fresh ensemble forward under the fixed candidate,
 integrate the costates backward with the exact discrete adjoint of the same
-scheme (the reverse Runge-Kutta stage pass), then minimize the sample-mean
-Hamiltonian pointwise in time and report how far the candidate sits from
-that minimizer. Small discrepancy means the candidate satisfies the
-necessary optimality conditions; it is not a proof of optimality.
+scheme (the gradient engine's `backward_gradient`, which records the
+costate at every node; Runge-Kutta and Adams-Bashforth schemes alike), then
+minimize the sample-mean Hamiltonian pointwise in time and report how far
+the candidate sits from that minimizer. Small discrepancy means the
+candidate satisfies the necessary optimality conditions; it is not a proof
+of optimality.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
+from .gradients import backward_gradient
 from .grids import ControlSchedule, EnsembleTrajectory, ShootingPlan
-from .integrators import StepScheme, _rk_step_vjp, propagate_segment
+from .integrators import StepScheme
 from .models import DynamicsModel
-from .sampling import sample_initial_ensemble
-from .transcription import OcProblem
+from .transcription import OcProblem, continuous_forward
 
 
 def hamiltonian(model: DynamicsModel, u, x, lam, q: float):
@@ -63,37 +65,34 @@ def adjoint_sweep(
 ) -> AdjointTrajectory:
     """Backward costate integration from lambda(t_f) = terminal_grad rows.
 
-    Pulls the costate back through the stages of the forward one-step map,
-    so the sweep is the exact adjoint of the forward discretization. The
-    trajectory must come from a continuous forward propagation under the
-    same controls.
+    Runs `backward_gradient` over the segments from last to first, recording
+    the costate at every node and carrying it across each interface, so the
+    sweep is the exact discrete adjoint of the forward map, Adams-Bashforth
+    schemes included. The trajectory must come from a continuous forward
+    propagation under the same controls.
     running_seed(k, j) may inject per-node d(cost)/dx contributions when the
-    functional carries a state-dependent running term.
+    functional carries a state-dependent running term; the last node of a
+    segment receives none.
     """
-    if scheme.ab_steps is not None and scheme.ab_steps > 1:
-        raise ParameterError("adjoint sweep supports one-step schemes only")
-    lam = np.asarray(terminal_grad, dtype=float).copy()
+    lam = np.asarray(terminal_grad, dtype=float)
     if lam.shape != trajectory.terminal.shape:
         raise ShapeMismatchError(
             f"terminal gradient shape {lam.shape} != {trajectory.terminal.shape}"
         )
-    out: list[np.ndarray] = []
     plan = trajectory.plan
+    out = [np.empty_like(states) for states in trajectory.segments]
     for k in range(plan.n_segments - 1, -1, -1):
-        states = trajectory.segments[k]
-        u_block = controls.values[k]
-        seg_scheme = scheme.with_dt(plan.segments[k].dt)
-        costates = np.empty_like(states)
-        costates[-1] = lam
-        for j in range(u_block.shape[0] - 1, -1, -1):
-            lam, _ = _rk_step_vjp(seg_scheme, model, states[j], u_block[j], lam)
-            if running_seed is not None:
-                seed = running_seed(k, j)
-                if seed is not None:
-                    lam = lam + seed
-            costates[j] = lam
-        out.append(costates)
-    return AdjointTrajectory(plan, tuple(reversed(out)))
+
+        def seed_at(j, k=k):
+            if running_seed is None or j == plan.segments[k].steps:
+                return None
+            return running_seed(k, j)
+
+        _, lam = backward_gradient(
+            scheme.with_dt(plan.segments[k].dt), model, trajectory.segments[k],
+            controls.values[k], lam, running_seed=seed_at, costates=out[k],
+        )
+    return AdjointTrajectory(plan, tuple(out))
 
 
 def _golden_min(func, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -231,27 +230,20 @@ def verify(
         candidate.values
     ) != problem.n_segments:
         raise ShapeMismatchError("candidate control grid does not match the problem plan")
-    m_v = problem.M if M_verify is None else int(M_verify)
-    seed_v = problem.seed if seed is None else int(seed)
+    fresh = problem.replace(
+        M=problem.M if M_verify is None else int(M_verify),
+        seed=problem.seed if seed is None else int(seed),
+    )
     model, cost = problem.model, problem.cost
-
-    state = sample_initial_ensemble(problem.initial, m_v, seed_v)
-    segs = []
-    for k in range(problem.n_segments):
-        states = propagate_segment(
-            problem.segment_scheme(k), model, state, candidate.values[k]
-        )
-        segs.append(states)
-        state = states[-1]
+    segs = continuous_forward(fresh, candidate.values)
     trajectory = EnsembleTrajectory(problem.plan, tuple(segs))
 
     terminal_grad = cost.terminal_grad(trajectory.terminal)
     running = None
     if cost.has_running:
-        plan = problem.plan
 
-        def running(k, j, _segs=segs, _plan=plan):
-            return _plan.segments[k].dt * cost.running_grad(_segs[k][j])
+        def running(k, j):
+            return problem.plan.segments[k].dt * cost.running_grad(segs[k][j])
 
     adjoint = adjoint_sweep(
         problem.scheme, model, trajectory, candidate, terminal_grad, running_seed=running

@@ -2,9 +2,12 @@
 
 Inequalities (control boxes, ensemble-mean path bounds) enter through a
 logarithmic barrier with a shrinking coefficient; the aggregated continuity
-equality enters through an augmented quadratic penalty. Inner iterations are
-limited-memory quasi-Newton steps with Armijo backtracking and a
-fraction-to-boundary cap that keeps every iterate strictly inside the bounds.
+equality enters through an augmented quadratic penalty. One outer loop runs
+the barrier/penalty rounds for every merit: the multi-shooting program, the
+single-shooting polish (one round on the reduced merit) and `minimize_box`.
+Inner iterations are limited-memory quasi-Newton steps with Armijo
+backtracking and a fraction-to-boundary cap that keeps every iterate
+strictly inside the bounds.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ class SolveStatus(str, Enum):
     converged = "Converged"
     iteration_limit = "IterationLimit"
     line_search_failure = "LineSearchFailure"
-    propagation_failure = "PropagationFailure"
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,8 @@ class SolverConfig:
         for name in ("inner_tol", "outer_tol"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
+        if self.max_outer < 1:
+            raise ParameterError("max_outer must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,8 @@ class MinimizeResult:
 def minimize_box(func, x0, lo=None, hi=None, config: SolverConfig | None = None, log=None):
     """Barrier-path minimization of func(x) -> (value, grad) inside a box.
 
-    With no finite bounds this reduces to a single quasi-Newton run.
+    func plus the box barrier is one merit of the outer loop that `solve`
+    runs; with no finite bounds each round is a quasi-Newton restart.
     """
     cfg = config or SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -225,55 +230,14 @@ def minimize_box(func, x0, lo=None, hi=None, config: SolverConfig | None = None,
     ).copy()
     if np.any(lo > hi):
         raise ParameterError("box bounds need lo <= hi")
-    x = _pull_interior(x, lo, hi)
-    has_barrier = bool(np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)))
-    mu = cfg.barrier_mu0 if has_barrier else 0.0
-
-    total_inner = 0
-    status = SolveStatus.iteration_limit
-    f = math.nan
-    ginf = math.inf
-    outer = 0
-    for outer in range(1, cfg.max_outer + 1):
-
-        def value_grad(z):
-            v, g = func(z)
-            if mu > 0.0:
-                try:
-                    bv, bg = barrier_value_and_gradient(z, lo, hi, mu)
-                except BarrierInfeasible:
-                    return math.inf, np.zeros_like(z)
-                v, g = v + bv, g + bg
-            return v, g
-
-        def value_only(z):
-            try:
-                v, _ = func(z)
-                if mu > 0.0:
-                    v += barrier_value_and_gradient(z, lo, hi, mu)[0]
-                return v
-            except BarrierInfeasible:
-                return math.inf
-
-        tol = max(cfg.inner_tol, cfg.inner_tol_scale * mu)
-        x, f, g, inner_status, it = _lbfgs_inner(
-            value_grad, value_only, x, lo, hi, tol, cfg, log=log
-        )
-        total_inner += it
-        ginf = float(np.max(np.abs(g))) if g.size else 0.0
-        if inner_status == "linesearch" and ginf > tol:
-            status = SolveStatus.line_search_failure
-            break
-        if ginf <= cfg.outer_tol and mu <= max(cfg.mu_min, cfg.outer_tol) * (1.0 + 1e-9):
-            status = SolveStatus.converged
-            break
-        if mu == 0.0:
-            status = (
-                SolveStatus.converged if ginf <= cfg.outer_tol else SolveStatus.iteration_limit
-            )
-            break
-        mu = max(mu * cfg.barrier_reduction, cfg.mu_min)
-    return MinimizeResult(x, f, ginf, status, total_inner, outer)
+    ev = _BoxMerit(func, lo, hi)
+    mu = cfg.barrier_mu0 if ev.has_ineq else 0.0
+    x, status, history, _, _ = _outer_loop(
+        ev, _pull_interior(x, lo, hi), mu, 0.0, 0.0, cfg, log, "", None
+    )
+    last = history[-1]
+    inner = sum(r.inner_iterations for r in history)
+    return MinimizeResult(x, last.merit, last.grad_inf, status, inner, len(history))
 
 
 def _pull_interior(x, lo, hi, frac=1e-6):
@@ -319,25 +283,27 @@ class _MeritEvaluator:
     """Value and gradient of objective + path barrier + continuity penalty.
 
     One forward pass per evaluation; all gradient seeds are combined into a
-    single backward sweep per segment.
+    single backward sweep per segment (`transcription.merit_gradient`).
 
-    The solver iterates in scaled coordinates: interface-state entries carry
-    a sqrt(M) factor, which undoes the 1/M Monte Carlo weighting of their
-    curvature and keeps the quasi-Newton conditioning independent of the
-    sample count.
+    The multi-shooting layout iterates over the controls and the interface
+    states, in scaled coordinates: interface-state entries carry a sqrt(M)
+    factor, which undoes the 1/M Monte Carlo weighting of their curvature
+    and keeps the quasi-Newton conditioning independent of the sample count.
+    The reduced layout (`reduced`) iterates over the controls only.
     """
+
+    reduced = False
 
     def __init__(self, problem: OcProblem, workers: int = 1):
         self.problem = problem
         self.workers = workers
-        m = problem.model.m
         plan = problem.plan
         lo_parts = [np.tile(problem.control_lo, (s.steps, 1)).ravel() for s in plan.segments]
         hi_parts = [np.tile(problem.control_hi, (s.steps, 1)).ravel() for s in plan.segments]
-        n_iface = (plan.n_segments - 1) * problem.M * problem.model.n
+        n_iface = 0 if self.reduced else (plan.n_segments - 1) * problem.M * problem.model.n
         self.lo_vec = np.concatenate(lo_parts + [np.full(n_iface, -np.inf)])
         self.hi_vec = np.concatenate(hi_parts + [np.full(n_iface, np.inf)])
-        self.n_controls = plan.total_steps * m
+        self.n_controls = plan.total_steps * problem.model.m
         self.scale = np.ones(self.n_controls + n_iface)
         self.scale[self.n_controls :] = np.sqrt(problem.M)
         self.has_ineq = (
@@ -352,74 +318,55 @@ class _MeritEvaluator:
     def to_physical(self, z: np.ndarray) -> np.ndarray:
         return z * self.scale
 
-    def _path_terms(self, means, mu):
-        return _path_barrier_terms(self.problem, means, mu)
+    def point(self, x_phys: np.ndarray) -> NlpPoint:
+        if not self.reduced:
+            return NlpPoint.from_vector(self.problem, x_phys)
+        m = self.problem.model.m
+        ends = np.cumsum([seg.steps * m for seg in self.problem.plan.segments])[:-1]
+        return NlpPoint(tuple(b.reshape(-1, m) for b in np.split(x_phys, ends)), ())
 
     def components(self, point: NlpPoint, mu: float, nu: float, rho: float):
-        segs = tr.forward_pass(self.problem, point)
-        obj = tr.evaluate_objective(self.problem, point, segs)
-        gaps = tr.continuity_gaps(self.problem, point, segs)
-        cres = sum(float(np.sum(g * g)) for g in gaps) / self.problem.M
+        """One forward pass: (merit, objective, residual, segs, path-barrier
+        coefficients, control-barrier gradient)."""
+        problem = self.problem
+        if self.reduced:
+            segs = tr.continuous_forward(problem, point.controls)
+            gaps = []
+        else:
+            segs = tr.forward_pass(problem, point)
+            gaps = tr.continuity_gaps(problem, point, segs)
+        obj = tr.evaluate_objective(problem, point, segs)
+        cres = sum(float(np.sum(g * g)) for g in gaps) / problem.M
         merit = obj + nu * cres + 0.5 * rho * cres * cres
-        path_value = 0.0
-        means = None
-        if self.problem.path_bounds and mu > 0.0:
-            means = tr.segment_means(segs)
-            path_value, _ = self._path_terms(means, mu)
+        path_coefs = bar_grad = None
+        if problem.path_bounds and mu > 0.0:
+            path_value, path_coefs = _path_barrier_terms(problem, tr.segment_means(segs), mu)
             merit += path_value
         if mu > 0.0:
             u_flat = point.to_vector()[: self.n_controls]
-            merit += barrier_value_and_gradient(
+            bar_value, bar_grad = barrier_value_and_gradient(
                 u_flat, self.lo_vec[: self.n_controls], self.hi_vec[: self.n_controls], mu
-            )[0]
-        return merit, obj, cres, segs, gaps
+            )
+            merit += bar_value
+        return merit, obj, cres, segs, path_coefs, bar_grad
 
-    def value(self, z: np.ndarray, mu: float, nu: float, rho: float) -> float:
+    def value(self, z: np.ndarray, mu: float, nu: float = 0.0, rho: float = 0.0) -> float:
         try:
-            point = NlpPoint.from_vector(self.problem, self.to_physical(z))
-            merit, *_ = self.components(point, mu, nu, rho)
-            return merit
+            return self.components(self.point(self.to_physical(z)), mu, nu, rho)[0]
         except (PropagationError, DomainError, BarrierInfeasible):
             return math.inf
 
-    def value_grad(self, z: np.ndarray, mu: float, nu: float, rho: float):
-        x = self.to_physical(z)
-        point = NlpPoint.from_vector(self.problem, x)
-        merit, obj, cres, segs, gaps = self.components(point, mu, nu, rho)
-        problem = self.problem
-        M = problem.M
-
-        terminal, running = tr.objective_seeds(problem, segs)
-        w_eq = nu + rho * cres
-        for k, gap in enumerate(gaps):
-            terminal[k] = terminal[k] + (2.0 * w_eq / M) * gap
-        if problem.path_bounds and mu > 0.0:
-            means = tr.segment_means(segs)
-            _, coefs = self._path_terms(means, mu)
-            for k, coef in enumerate(coefs):
-                if running[k] is None:
-                    running[k] = np.zeros_like(segs[k])
-                running[k] = running[k] + coef[:, None, :] / M
-
-        du, dx0 = tr.sweep_gradient(
-            problem, point, segs, terminal, running, workers=self.workers
-        )
-        q = problem.cost.control_energy
-        for k, seg in enumerate(problem.plan.segments):
-            if q != 0.0:
-                du[k] = du[k] + q * seg.dt * point.controls[k]
-        iface = []
-        for k in range(1, problem.n_segments):
-            g = dx0[k]
-            if k - 1 < len(gaps):
-                g = g - (2.0 * w_eq / M) * gaps[k - 1]
-            iface.append(g)
-        grad = NlpPoint(tuple(du), tuple(iface)).to_vector()
-        if mu > 0.0:
-            _, bg = barrier_value_and_gradient(
-                x[: self.n_controls], self.lo_vec[: self.n_controls], self.hi_vec[: self.n_controls], mu
-            )
-            grad[: self.n_controls] += bg
+    def value_grad(self, z: np.ndarray, mu: float, nu: float = 0.0, rho: float = 0.0):
+        """(merit, scaled gradient, objective, residual) at the scaled point z."""
+        point = self.point(self.to_physical(z))
+        merit, obj, cres, segs, path_coefs, bar_grad = self.components(point, mu, nu, rho)
+        gap_weight = 0.0 if self.reduced else nu + rho * cres
+        grad = tr.merit_gradient(
+            self.problem, point, segs, gap_weight=gap_weight, path_coefs=path_coefs,
+            chain=self.reduced, workers=self.workers,
+        ).to_vector()
+        if bar_grad is not None:
+            grad[: self.n_controls] += bar_grad
         return merit, grad * self.scale, obj, cres
 
     def bound_violation(self, x: np.ndarray) -> float:
@@ -430,13 +377,12 @@ class _MeritEvaluator:
         fin = np.isfinite(self.hi_vec)
         if np.any(fin):
             viol = max(viol, float(np.max(x[fin] - self.hi_vec[fin])))
-        point = NlpPoint.from_vector(self.problem, x)
-        for pv in tr.path_constraint_values(self.problem, point):
+        for pv in tr.path_constraint_values(self.problem, self.point(x)):
             viol = max(viol, pv.lo - pv.value, pv.value - pv.hi)
         return max(viol, 0.0)
 
 
-class _ReducedEvaluator:
+class _ReducedEvaluator(_MeritEvaluator):
     """Controls-only merit along continuous propagation.
 
     The interface states are eliminated by propagation, so the continuity
@@ -444,71 +390,104 @@ class _ReducedEvaluator:
     single-shooting gradient obtained by chaining the per-segment sweeps.
     """
 
-    def __init__(self, problem: OcProblem, workers: int = 1):
-        self.problem = problem
-        self.workers = workers
-        plan = problem.plan
-        self.lo_vec = np.concatenate(
-            [np.tile(problem.control_lo, (s.steps, 1)).ravel() for s in plan.segments]
-        )
-        self.hi_vec = np.concatenate(
-            [np.tile(problem.control_hi, (s.steps, 1)).ravel() for s in plan.segments]
-        )
+    reduced = True
+    # bound here as well, so that a wrapper installed on the base class's
+    # `value` (a profiler's trial counter) is not inherited and run twice
+    value = _MeritEvaluator.value
 
-    def _blocks(self, z):
-        blocks, pos = [], 0
-        m = self.problem.model.m
-        for seg in self.problem.plan.segments:
-            blocks.append(z[pos : pos + seg.steps * m].reshape(seg.steps, m))
-            pos += seg.steps * m
-        return tuple(blocks)
 
-    def _merit_parts(self, blocks, mu):
-        segs = tr.continuous_forward(self.problem, blocks)
-        point = NlpPoint(blocks, ())
-        obj = tr.evaluate_objective(self.problem, point, segs)
-        merit = obj
-        path_coefs = None
-        if self.problem.path_bounds and mu > 0.0:
-            means = tr.segment_means(segs)
-            path_value, path_coefs = _path_barrier_terms(self.problem, means, mu)
-            merit += path_value
-        return merit, obj, segs, path_coefs
+class _BoxMerit:
+    """func(x) -> (value, grad) plus the log-barrier of a box, as a merit of
+    the outer loop; it has no equality residual."""
 
-    def value(self, z, mu):
-        try:
-            blocks = self._blocks(z)
-            merit, *_ = self._merit_parts(blocks, mu)
-            if mu > 0.0:
-                merit += barrier_value_and_gradient(z, self.lo_vec, self.hi_vec, mu)[0]
-            return merit
-        except (PropagationError, DomainError, BarrierInfeasible):
-            return math.inf
+    reduced = True  # no interface block: the inner log shows no residual
 
-    def value_grad(self, z, mu):
-        blocks = self._blocks(z)
-        merit, obj, segs, path_coefs = self._merit_parts(blocks, mu)
-        problem = self.problem
-        _, running = tr.objective_seeds(problem, segs)
-        terminal = problem.cost.terminal_grad(segs[-1][-1]) / problem.M
-        if path_coefs is not None:
-            for k, coef in enumerate(path_coefs):
-                if running[k] is None:
-                    running[k] = np.zeros_like(segs[k])
-                running[k] = running[k] + coef[:, None, :] / problem.M
-        du, _ = tr.continuous_gradient(
-            problem, blocks, segs, terminal, running, workers=self.workers
-        )
-        q = problem.cost.control_energy
-        if q != 0.0:
-            for k, seg in enumerate(problem.plan.segments):
-                du[k] = du[k] + q * seg.dt * blocks[k]
-        grad = np.concatenate([g.ravel() for g in du])
+    def __init__(self, func, lo, hi):
+        self.func, self.lo_vec, self.hi_vec = func, lo, hi
+        self.has_ineq = bool(np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)))
+
+    def value_grad(self, z, mu, nu, rho):
+        v, g = self.func(z)
         if mu > 0.0:
             bv, bg = barrier_value_and_gradient(z, self.lo_vec, self.hi_vec, mu)
-            merit += bv
-            grad += bg
-        return merit, grad, obj, segs
+            return v + bv, g + bg, v, 0.0
+        return v, g, v, 0.0
+
+    def value(self, z, mu, nu, rho):
+        try:
+            return self.value_grad(z, mu, nu, rho)[0]
+        except BarrierInfeasible:
+            return math.inf
+
+
+def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
+    """Barrier and augmented-penalty rounds over one merit (Nocedal & Wright,
+    ch. 17-19).
+
+    Each round minimizes ev's merit at fixed (mu, nu, rho) with the
+    quasi-Newton inner loop, starting from the previous round's iterate.
+    Between rounds the multiplier estimate takes nu += rho * c, the penalty
+    rho grows while the residual c stalls above tolerance, and the barrier
+    mu shrinks. A round's objective and residual are those of the merit
+    gradient at the returned iterate, which the inner loop evaluates last.
+    label prefixes the inner log lines and summary, when given, formats the
+    round's log line; both are format strings over the round's record.
+
+    Returns (x, status, per-round records, final mu, final nu).
+    """
+    history: list[OuterRecord] = []
+    status = SolveStatus.iteration_limit
+    prev_cres = None
+    last = [math.nan, math.nan]  # objective and residual of the last gradient
+    for outer in range(1, cfg.max_outer + 1):
+
+        def value_grad(z, mu=mu, nu=nu, rho=rho):
+            try:
+                merit, grad, last[0], last[1] = ev.value_grad(z, mu, nu, rho)
+                return merit, grad
+            except (PropagationError, DomainError, BarrierInfeasible):
+                return math.inf, np.zeros_like(z)
+
+        def value_only(z, mu=mu, nu=nu, rho=rho):
+            return ev.value(z, mu, nu, rho)
+
+        tol = max(cfg.inner_tol, cfg.inner_tol_scale * mu)
+        x, merit, g, inner_status, iters = _lbfgs_inner(
+            value_grad, value_only, x, ev.lo_vec, ev.hi_vec, tol, cfg,
+            log=log, label=label.format(outer=outer),
+            extra=None if ev.reduced else (lambda: f"cres={last[1]:.3e}"),
+        )
+        ginf = float(np.max(np.abs(g))) if g.size else 0.0
+        obj, cres = last
+        record = OuterRecord(outer, mu, rho, nu, merit, obj, cres, ginf, iters)
+        history.append(record)
+        if log is not None and summary is not None:
+            log(summary.format(**vars(record)))
+
+        mu_done = mu <= max(cfg.mu_min, cfg.outer_tol) * (1.0 + 1e-9) or not ev.has_ineq
+        if ginf <= cfg.outer_tol and cres <= cfg.outer_tol and mu_done:
+            status = SolveStatus.converged
+            break
+        if inner_status == "linesearch" and ginf > tol:
+            status = SolveStatus.line_search_failure
+            break
+        nu += rho * cres
+        # stiffen the penalty only while the residual stalls above tolerance
+        if rho > 0.0 and cres > cfg.outer_tol and (prev_cres is None or cres > 0.25 * prev_cres):
+            rho = min(rho * cfg.penalty_growth, cfg.penalty_rho_max)
+        prev_cres = cres
+        if ev.has_ineq:
+            mu = max(mu * cfg.barrier_reduction, cfg.mu_min)
+    return x, status, history, mu, nu
+
+
+_ROUND_LINE = (
+    "outer {outer:3d}  mu={mu:.1e} rho={rho:.1e}  J={objective:.9e} "
+    "c={continuity:.3e} grad_inf={grad_inf:.3e} inner={inner_iterations}"
+)
+_POLISH_LINE = (
+    "polish  mu={mu:.1e}  J={objective:.9e} grad_inf={grad_inf:.3e} inner={inner_iterations}"
+)
 
 
 def solve(
@@ -520,26 +499,24 @@ def solve(
 ) -> SolveReport:
     """Minimize the transcribed program from the given starting point.
 
-    The merit value decreases monotonically across accepted inner steps; the
+    The multi-shooting program runs the barrier/penalty outer loop; the
+    polish is one more round of the same loop on the reduced merit. The
+    merit value decreases monotonically across accepted inner steps; the
     report carries per-outer-iteration history and the final residuals.
     """
     cfg = config or SolverConfig()
     ev = _MeritEvaluator(problem, workers=workers)
     point = initial_guess if initial_guess is not None else tr.default_start(problem)
     x = ev.to_scaled(_pull_interior(point.to_vector(), ev.lo_vec, ev.hi_vec))
-
     mu = cfg.barrier_mu0 if ev.has_ineq else 0.0
-    nu = 0.0
     rho = cfg.penalty_rho0 if problem.n_segments > 1 else 0.0
 
-    def components_at(z, mu, nu, rho):
-        return ev.components(NlpPoint.from_vector(problem, ev.to_physical(z)), mu, nu, rho)
-
     try:
-        first = components_at(x, mu, nu, rho)[0]
+        first = ev.components(ev.point(ev.to_physical(x)), mu, 0.0, rho)[0]
     except (PropagationError, DomainError) as err:
         raise ParameterError(
-            f"initial guess does not propagate (sample {err.sample_index}): {err}"
+            f"initial guess does not propagate (sample {err.sample_index}, "
+            f"step {err.step_index}): {err}"
         ) from err
     except BarrierInfeasible:
         first = math.inf
@@ -550,141 +527,46 @@ def solve(
             "path-feasible start)"
         )
 
-    history: list[OuterRecord] = []
-    total_inner = 0
-    status = SolveStatus.iteration_limit
-    obj = cres = math.nan
-    ginf = math.inf
-    outer = 0
-    prev_cres = None
-    last_cres = [math.nan]
-    for outer in range(1, cfg.max_outer + 1):
-        cur_mu, cur_nu, cur_rho = mu, nu, rho
-
-        def value_grad(z):
-            try:
-                merit, grad, _, c = ev.value_grad(z, cur_mu, cur_nu, cur_rho)
-                last_cres[0] = c
-                return merit, grad
-            except (PropagationError, DomainError, BarrierInfeasible):
-                return math.inf, np.zeros_like(z)
-
-        def value_only(z):
-            return ev.value(z, cur_mu, cur_nu, cur_rho)
-
-        tol = max(cfg.inner_tol, cfg.inner_tol_scale * mu)
-        x, merit, g, inner_status, iters = _lbfgs_inner(
-            value_grad, value_only, x, ev.lo_vec, ev.hi_vec, tol, cfg,
-            log=log, label=f"[outer {outer}] ",
-            extra=lambda: f"cres={last_cres[0]:.3e}",
-        )
-        total_inner += iters
-        ginf = float(np.max(np.abs(g))) if g.size else 0.0
-        # forward-only: the round's objective and residual need no sweep
-        obj, cres = components_at(x, mu, nu, rho)[1:3]
-        history.append(
-            OuterRecord(outer, mu, rho, nu, merit, obj, cres, ginf, iters)
-        )
-        if log is not None:
-            log(
-                f"outer {outer:3d}  mu={mu:.1e} rho={rho:.1e}  J={obj:.9e} "
-                f"c={cres:.3e} grad_inf={ginf:.3e} inner={iters}"
-            )
-
-        mu_done = mu <= max(cfg.mu_min, cfg.outer_tol) * (1.0 + 1e-9) or not ev.has_ineq
-        if ginf <= cfg.outer_tol and cres <= cfg.outer_tol and mu_done:
-            status = SolveStatus.converged
-            break
-        if inner_status == "linesearch" and ginf > tol:
-            status = SolveStatus.line_search_failure
-            break
-        nu += rho * cres
-        # stiffen the penalty only while the residual stalls above tolerance
-        if (
-            problem.n_segments > 1
-            and cres > cfg.outer_tol
-            and (prev_cres is None or cres > 0.25 * prev_cres)
-        ):
-            rho = min(rho * cfg.penalty_growth, cfg.penalty_rho_max)
-        prev_cres = cres
-        if ev.has_ineq:
-            mu = max(mu * cfg.barrier_reduction, cfg.mu_min)
-
+    x, status, history, mu, nu = _outer_loop(
+        ev, x, mu, 0.0, rho, cfg, log, "[outer {outer}] ", _ROUND_LINE
+    )
+    outer = len(history)
     x_phys = ev.to_physical(x)
     final = NlpPoint.from_vector(problem, x_phys)
 
-    if cfg.polish and problem.n_segments > 1 and status != SolveStatus.propagation_failure:
+    if cfg.polish and problem.n_segments > 1:
         red = _ReducedEvaluator(problem, workers=workers)
-        z2 = _pull_interior(x_phys[: ev.n_controls].copy(), red.lo_vec, red.hi_vec)
-        mu2 = min(mu, cfg.outer_tol) if ev.has_ineq else 0.0
-
-        def vg2(z):
-            try:
-                merit2, grad2, *_ = red.value_grad(z, mu2)
-                return merit2, grad2
-            except (PropagationError, DomainError, BarrierInfeasible):
-                return math.inf, np.zeros_like(z)
-
+        z = _pull_interior(x_phys[: ev.n_controls].copy(), red.lo_vec, red.hi_vec)
+        mu_polish = min(mu, cfg.outer_tol) if ev.has_ineq else 0.0
+        polish_cfg = replace(
+            cfg, max_outer=1, max_inner=cfg.polish_max_inner, inner_tol=cfg.outer_tol
+        )
         try:
-            z2, merit2, g2, st2, it2 = _lbfgs_inner(
-                vg2,
-                lambda z: red.value(z, mu2),
-                z2,
-                red.lo_vec,
-                red.hi_vec,
-                cfg.outer_tol,
-                replace(cfg, max_inner=cfg.polish_max_inner),
-                log=log,
-                label="[polish] ",
+            z, polish_status, rows, _, _ = _outer_loop(
+                red, z, mu_polish, nu, 0.0, polish_cfg, log, "[polish] ", _POLISH_LINE
             )
         except ParameterError:
             # continuous propagation from the multi-shooting point can start
             # outside a binding path bound; keep the staged solution then
-            z2 = None
             if log is not None:
                 log("polish  skipped: start point infeasible for the reduced merit")
-        if z2 is None:
-            return SolveReport(
-                point=final,
-                objective=float(obj),
-                continuity_residual=float(cres),
-                max_bound_violation=ev.bound_violation(x_phys),
-                grad_inf=ginf,
-                outer_iterations=outer,
-                inner_iterations=total_inner,
-                status=status,
-                history=tuple(history),
-            )
-        total_inner += it2
-        ginf = float(np.max(np.abs(g2))) if g2.size else 0.0
-        blocks = tuple(b.copy() for b in red._blocks(z2))
-        segs = tr.continuous_forward(problem, blocks)
-        final = NlpPoint(
-            blocks, tuple(segs[k][-1].copy() for k in range(problem.n_segments - 1))
-        )
-        x_phys = final.to_vector()
-        obj = tr.evaluate_objective(problem, final, segs)
-        cres = 0.0  # interface states are the propagated endpoints
-        if ginf <= cfg.outer_tol:
-            status = SolveStatus.converged
-        elif st2 == "linesearch":
-            status = SolveStatus.line_search_failure
         else:
-            status = SolveStatus.iteration_limit
-        history.append(
-            OuterRecord(outer + 1, mu2, 0.0, nu, merit2, obj, cres, ginf, it2)
-        )
-        if log is not None:
-            log(f"polish  mu={mu2:.1e}  J={obj:.9e} grad_inf={ginf:.3e} inner={it2}")
+            status = polish_status
+            history.append(replace(rows[0], outer=outer + 1))
+            blocks = tuple(b.copy() for b in red.point(z).controls)
+            segs = tr.continuous_forward(problem, blocks)
+            final = NlpPoint(blocks, tuple(seg[-1].copy() for seg in segs[:-1]))
+            x_phys = final.to_vector()
 
+    last = history[-1]  # the polish round reports a zero residual
     return SolveReport(
         point=final,
-        objective=float(obj),
-        continuity_residual=float(cres),
+        objective=float(last.objective),
+        continuity_residual=float(last.continuity),
         max_bound_violation=ev.bound_violation(x_phys),
-        grad_inf=ginf,
+        grad_inf=last.grad_inf,
         outer_iterations=outer,
-        inner_iterations=total_inner,
+        inner_iterations=sum(r.inner_iterations for r in history),
         status=status,
         history=tuple(history),
     )

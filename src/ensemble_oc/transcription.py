@@ -4,8 +4,11 @@ The decision vector couples the piecewise-constant control values with the
 per-sample states at interior segment interfaces. Segment 1 always starts
 from the fixed seeded ensemble; continuity across interfaces is enforced
 through a single aggregated sum-of-squares residual. Objective, continuity
-and ensemble-mean path quantities all share one forward pass, and their
-gradients are assembled from per-segment backward sweeps.
+and ensemble-mean path quantities all share one forward pass. Their
+gradients come from one seed assembler, `merit_gradient`, and one backward
+sweep per segment (`sweep_gradient`); with `chain` the interface states are
+eliminated by continuous propagation and the costate is carried across
+interfaces, which gives the single-shooting gradient.
 """
 
 from __future__ import annotations
@@ -280,23 +283,76 @@ def sweep_gradient(
     running_seeds,
     batch_size: int | None = None,
     workers: int = 1,
+    chain: bool = False,
 ):
-    """Per-segment backward sweeps; returns (control grads, initial-state grads)."""
-    du, dx0 = [], []
-    for k in range(problem.n_segments):
-        g_u, g_x = backward_gradient(
-            problem.segment_scheme(k),
-            problem.model,
-            segs[k],
-            point.controls[k],
-            terminal_seeds[k],
-            running_seed=running_seeds[k],
-            batch_size=batch_size,
-            workers=workers,
+    """Per-segment backward sweeps, last first: (control grads, initial-state
+    grads). With chain the trajectory is continuous: each segment's
+    initial-state gradient is added to the terminal seed of the one before."""
+    n_seg = problem.n_segments
+    du, dx0 = [None] * n_seg, [None] * n_seg
+    for k in range(n_seg - 1, -1, -1):
+        seed = terminal_seeds[k]
+        if chain and k < n_seg - 1:
+            seed = seed + dx0[k + 1]
+        du[k], dx0[k] = backward_gradient(
+            problem.segment_scheme(k), problem.model, segs[k], point.controls[k], seed,
+            running_seed=running_seeds[k], batch_size=batch_size, workers=workers,
         )
-        du.append(g_u)
-        dx0.append(g_x)
     return du, dx0
+
+
+def continuity_gaps(problem: OcProblem, point: NlpPoint, segs) -> list[np.ndarray]:
+    return [
+        segs[k][-1] - point.interface_states[k] for k in range(problem.n_segments - 1)
+    ]
+
+
+def merit_gradient(
+    problem: OcProblem,
+    point: NlpPoint,
+    segs,
+    objective: bool = True,
+    gap_weight: float = 0.0,
+    path_coefs=None,
+    chain: bool = False,
+    workers: int = 1,
+) -> NlpPoint:
+    """Exact gradient of objective + gap_weight * continuity + path terms,
+    from one backward sweep per segment.
+
+    gap_weight scales the residual sum_k mean_i |gap_i|^2 (no gap terms when
+    zero); path_coefs[k] is the (N_k + 1, n) derivative of a path term with
+    respect to the ensemble mean at every node. With chain the interface
+    states are eliminated (segs from `continuous_forward`): the costate is
+    carried across interfaces and the result has no interface block.
+    """
+    M = problem.M
+    if objective:
+        terminal, running = objective_seeds(problem, segs)
+    else:
+        terminal, running = [np.zeros_like(seg[-1]) for seg in segs], [None] * len(segs)
+    gaps = continuity_gaps(problem, point, segs) if gap_weight != 0.0 else []
+    for k, gap in enumerate(gaps):
+        terminal[k] = terminal[k] + (2.0 * gap_weight / M) * gap
+    if path_coefs is not None:
+        for k, coef in enumerate(path_coefs):
+            if running[k] is None:
+                running[k] = np.zeros_like(segs[k])
+            running[k] = running[k] + coef[:, None, :] / M
+
+    du, dx0 = sweep_gradient(
+        problem, point, segs, terminal, running, workers=workers, chain=chain
+    )
+    q = problem.cost.control_energy if objective else 0.0
+    if q != 0.0:
+        for k, seg in enumerate(problem.plan.segments):
+            du[k] = du[k] + q * seg.dt * point.controls[k]
+    if chain:
+        return NlpPoint(tuple(du), ())
+    iface = dx0[1:]
+    for k, gap in enumerate(gaps):
+        iface[k] = iface[k] - (2.0 * gap_weight / M) * gap
+    return NlpPoint(tuple(du), tuple(iface))
 
 
 def objective_gradient(
@@ -306,23 +362,7 @@ def objective_gradient(
     if segs is None:
         segs = forward_pass(problem, point)
     value = evaluate_objective(problem, point, segs)
-    terminal, running = objective_seeds(problem, segs)
-    du, dx0 = sweep_gradient(problem, point, segs, terminal, running, workers=workers)
-    q = problem.cost.control_energy
-    grads = []
-    for k, seg in enumerate(problem.plan.segments):
-        g = du[k]
-        if q != 0.0:
-            g = g + q * seg.dt * point.controls[k]
-        grads.append(g)
-    interface_grads = tuple(dx0[k] for k in range(1, problem.n_segments))
-    return value, NlpPoint(tuple(grads), interface_grads)
-
-
-def continuity_gaps(problem: OcProblem, point: NlpPoint, segs) -> list[np.ndarray]:
-    return [
-        segs[k][-1] - point.interface_states[k] for k in range(problem.n_segments - 1)
-    ]
+    return value, merit_gradient(problem, point, segs, workers=workers)
 
 
 def continuity_residual(
@@ -334,28 +374,14 @@ def continuity_residual(
     is continuous at every interface.
     """
     if problem.n_segments == 1:
-        zero = NlpPoint(
-            tuple(np.zeros_like(c) for c in point.controls), ()
-        )
-        return 0.0, zero
+        return 0.0, NlpPoint(tuple(np.zeros_like(c) for c in point.controls), ())
     if segs is None:
         segs = forward_pass(problem, point)
     gaps = continuity_gaps(problem, point, segs)
-    M = problem.M
-    value = sum(float(np.sum(g * g)) for g in gaps) / M
-
-    terminal = [np.zeros_like(seg[-1]) for seg in segs]
-    for k, gap in enumerate(gaps):
-        terminal[k] = (2.0 / M) * gap
-    running = [None] * len(segs)
-    du, dx0 = sweep_gradient(problem, point, segs, terminal, running, workers=workers)
-    du[-1] = np.zeros_like(du[-1])  # last segment has no interface ahead
-    interface_grads = []
-    for k in range(1, problem.n_segments):
-        g = dx0[k].copy() if k <= problem.n_segments - 2 else np.zeros_like(dx0[k])
-        g -= (2.0 / M) * gaps[k - 1]
-        interface_grads.append(g)
-    return value, NlpPoint(tuple(du), tuple(interface_grads))
+    value = sum(float(np.sum(g * g)) for g in gaps) / problem.M
+    return value, merit_gradient(
+        problem, point, segs, objective=False, gap_weight=1.0, workers=workers
+    )
 
 
 @dataclass(frozen=True)
@@ -491,33 +517,3 @@ def continuous_forward(problem: OcProblem, controls: tuple[np.ndarray, ...]):
         segs.append(states)
         state = states[-1]
     return segs
-
-
-def continuous_gradient(
-    problem: OcProblem,
-    controls: tuple[np.ndarray, ...],
-    segs,
-    terminal_seed: np.ndarray,
-    running_seeds,
-    workers: int = 1,
-):
-    """Control gradient of a seeded functional along a continuous trajectory.
-
-    The costate is carried backward across segment interfaces: each segment's
-    initial-state gradient becomes the terminal seed of the segment before it.
-    Returns (per-segment control gradients, gradient w.r.t. the fixed initial
-    ensemble).
-    """
-    du = [None] * problem.n_segments
-    lam = terminal_seed
-    for k in range(problem.n_segments - 1, -1, -1):
-        du[k], lam = backward_gradient(
-            problem.segment_scheme(k),
-            problem.model,
-            segs[k],
-            controls[k],
-            lam,
-            running_seed=running_seeds[k],
-            workers=workers,
-        )
-    return du, lam

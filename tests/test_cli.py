@@ -182,3 +182,13 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
         "--dt", "0.5", "--out", str(ref),
     )
     assert (out / "controls.csv").read_bytes() == (ref / "controls.csv").read_bytes()
+
+
+def test_library_error_is_one_line_with_exit_code_1(tmp_path, capsys):
+    # the catalog default pde-stochastic diverges at step 3 under explicit Euler
+    code = run_cli("propagate", "--problem", "pde-stochastic", "--M", "2",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "step 3" in err[0]

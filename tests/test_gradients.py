@@ -234,3 +234,27 @@ def test_fd_exact_on_random_quadratics(a, b, c):
     x = np.array([0.7])
     g = fd_gradient(f, x, h=1e-4)
     assert g[0] == pytest.approx(2 * a * 0.7 + b, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["rk4", "ab2"])
+def test_costates_output_independent_of_batching(kind, rng):
+    model = UgvDifferentialDrive(random_radius=True)
+    scheme = StepScheme(kind, 0.05)
+    x0 = rng.uniform(-0.3, 0.3, (9, 4))
+    x0[:, 3] = rng.uniform(1.0, 1.5, 9)
+    controls = rng.uniform(-1, 1, (12, 2))
+    states = propagate_segment(scheme, model, x0, controls)
+    seed = rng.standard_normal((9, 4))
+    running = 0.1 * rng.standard_normal(states.shape)
+    outputs = []
+    for batch, workers in [(1, 1), (None, 1), (2, 2)]:
+        costates = np.full_like(states, np.nan)
+        _, g_x = backward_gradient(
+            scheme, model, states, controls, seed, running_seed=running,
+            batch_size=batch, workers=workers, costates=costates,
+        )
+        np.testing.assert_array_equal(costates[0], g_x)
+        np.testing.assert_array_equal(costates[-1], seed + running[-1])
+        outputs.append(costates)
+    for other in outputs[1:]:
+        np.testing.assert_array_equal(other, outputs[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ensemble_oc import (
+    DomainError,
     ParameterError,
     PropagationError,
     StepScheme,
@@ -238,3 +239,34 @@ def test_ab_bootstrap_matches_reference_update():
     x1 = states[1, 0, 0]
     expected2 = x1 + 0.1 * (1.5 * f(x1) - 0.5 * f(1.0))
     assert states[2, 0, 0] == pytest.approx(expected2, abs=1e-15)
+
+
+class Capped(DynamicsModel):
+    """x' = 1, valid only while x < 0.595."""
+
+    n = 1
+    m = 1
+    name = "capped"
+
+    def rhs(self, x, u):
+        bad = x[..., 0] >= 0.595
+        if np.any(bad):
+            raise DomainError("x must stay below 0.595", sample_index=int(np.flatnonzero(bad)[0]))
+        return np.ones_like(x)
+
+    def jac_x(self, x, u):
+        return np.zeros(x.shape + (1,))
+
+    def jac_u(self, x, u):
+        return np.zeros(x.shape + (1,))
+
+
+@pytest.mark.parametrize("kind,step_index", [("rk4", 5), ("ab2", 6)])
+def test_domain_error_carries_step_index(kind, step_index):
+    # sample 1 sits at 0.02 + 0.1 j: rk4 reaches 0.62 in the last stage of
+    # step 5, ab2 evaluates the rhs there at the start of step 6
+    x0 = np.array([[-1.0], [0.02], [-0.3]])
+    with pytest.raises(DomainError) as err:
+        propagate_segment(StepScheme(kind, 0.1), Capped(), x0, np.zeros((10, 1)))
+    assert err.value.sample_index == 1
+    assert err.value.step_index == step_index

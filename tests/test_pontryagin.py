@@ -271,3 +271,80 @@ def test_discrete_adjoint_equivalence_all_models(rng):
     pde = ChebyshevReactionDiffusion(n_nodes=8)
     x0 = 0.5 * rng.standard_normal((4, 8))
     _equivalence_case(pde, x0, rng.uniform(-1, 1, (15, 1)), "euler", 0.002, rng)
+
+
+def _dense_adjoint(problem, segs, controls, terminal, running_seed):
+    """Costates by dense step Jacobians, last segment first; the running seed
+    enters at the left nodes of each step only, never at a segment's end."""
+    lam = terminal
+    out = [None] * problem.n_segments
+    for k in range(problem.n_segments - 1, -1, -1):
+        scheme = problem.segment_scheme(k)
+        costates = np.empty_like(segs[k])
+        costates[-1] = lam
+        for j in range(controls[k].shape[0] - 1, -1, -1):
+            a_mat, _ = step_jacobians(scheme, problem.model, segs[k][j], controls[k][j])
+            lam = np.einsum("mr,mrc->mc", lam, a_mat) + running_seed(k, j)
+            costates[j] = lam
+        out[k] = costates
+    return out
+
+
+@pytest.mark.parametrize("kind", ["euler", "rk4"])
+def test_adjoint_sweep_two_segments_matches_dense_reference(kind, rng):
+    problem = eoc.build("ugv-stochastic", M=3, seed=5, t_f=1.0, dt=0.1, segments=2).replace(
+        scheme=StepScheme(kind)
+    )
+    schedule = ControlSchedule.from_stacked(problem.plan, rng.uniform(-1, 1, (10, 2)))
+    segs = tr.continuous_forward(problem, schedule.values)
+    terminal = rng.standard_normal((3, 4))
+
+    def running(k, j):  # nonzero at every node, segment ends included
+        return 0.1 * (k + 1) * segs[k][j]
+
+    adj = adjoint_sweep(
+        problem.scheme, problem.model, EnsembleTrajectory(problem.plan, tuple(segs)),
+        schedule, terminal, running_seed=running,
+    )
+    ref = _dense_adjoint(problem, segs, schedule.values, terminal, running)
+    for got, want in zip(adj.segments, ref):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _ab_case(kind, rng):
+    problem = eoc.build("ugv-stochastic", M=4, seed=2, t_f=1.0, dt=0.1, segments=1).replace(
+        scheme=StepScheme(kind)
+    )
+    x0 = tr.initial_ensemble(problem)
+    controls = rng.uniform(-1, 1, (10, 2))
+    return problem, x0, controls, rng.standard_normal(x0.shape)
+
+
+@pytest.mark.parametrize("kind", ["ab2", "ab3"])
+def test_adjoint_sweep_adams_bashforth_is_the_engine_adjoint(kind, rng):
+    problem, x0, controls, w = _ab_case(kind, rng)
+    scheme = problem.segment_scheme(0)
+    states = propagate_segment(scheme, problem.model, x0, controls)
+    schedule = ControlSchedule(problem.plan, (controls,))
+    adj = adjoint_sweep(
+        problem.scheme, problem.model, EnsembleTrajectory(problem.plan, (states,)), schedule, w
+    )
+    _, g_x0 = backward_gradient(scheme, problem.model, states, controls, w)
+    np.testing.assert_array_equal(adj.initial, g_x0)
+
+    def terminal_of_x0(flat):
+        st_ = propagate_segment(scheme, problem.model, flat.reshape(x0.shape), controls)
+        return float(np.sum(w * st_[-1]))
+
+    fd = eoc.fd_gradient(terminal_of_x0, x0.ravel()).reshape(x0.shape)
+    assert np.abs(adj.initial - fd).max() <= 1e-6
+
+
+def test_verify_runs_on_adams_bashforth_problem():
+    problem = eoc.build("ugv-stochastic", M=3, seed=1, t_f=2.0, dt=0.1, segments=2).replace(
+        scheme=StepScheme("ab2")
+    )
+    u = np.full((problem.plan.total_steps, 2), 0.3)
+    report = verify(problem, ControlSchedule.from_stacked(problem.plan, u))
+    assert report.minimizer.shape == u.shape
+    assert np.all(np.isfinite(report.discrepancy))

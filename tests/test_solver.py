@@ -310,3 +310,24 @@ def test_domain_error_at_initial_guess_names_sample():
     u = np.full((10, 1), (2.0 - x0[worst] + 0.5 * gap) / 0.9)
     with pytest.raises(eoc.ParameterError, match=f"sample {worst}"):
         solve(problem, initial_guess=NlpPoint((u,), ()))
+
+
+@pytest.mark.parametrize("kind", ["rk4", "ab2"])
+def test_initial_guess_error_names_sample_and_step(kind):
+    problem = _capped_problem().replace(scheme=eoc.StepScheme(kind))
+    u = np.full((10, 1), 3.0)  # every sample leaves |x| < 2 before t = 0.8
+    with pytest.raises(eoc.DomainError) as err:
+        eoc.propagate_segment(
+            problem.segment_scheme(0), problem.model, tr.initial_ensemble(problem), u
+        )
+    sample, step = err.value.sample_index, err.value.step_index
+    assert step is not None
+    with pytest.raises(eoc.ParameterError, match=f"sample {sample}, step {step}\\)"):
+        solve(problem, initial_guess=NlpPoint((u,), ()))
+
+
+def test_report_schema_status_enum_matches_solve_status():
+    from ensemble_oc.reporting import load_report_schema
+
+    schema = load_report_schema()
+    assert set(schema["properties"]["status"]["enum"]) == {s.value for s in SolveStatus}
