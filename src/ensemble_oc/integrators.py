@@ -117,7 +117,7 @@ def _check_finite(x: np.ndarray, step_index=None):
         flat = bad.reshape(-1, x.shape[-1]) if x.ndim > 1 else bad[None, :]
         sample = int(np.flatnonzero(flat.any(axis=1))[0]) if x.ndim > 1 else None
         raise PropagationError(
-            f"non-finite state produced (sample {sample}, step {step_index})",
+            f"propagation produced a non-finite state (sample {sample}, step {step_index})",
             sample_index=sample,
             step_index=step_index,
         )
@@ -284,40 +284,36 @@ def propagate_segment(
     out[0] = x0
 
     j = 0  # the step a model DomainError is attributed to
+    # as in `_rk_step`, divergence is reported by `_check_finite`, not by
+    # the overflow warnings on the way there
     try:
-        s = scheme.ab_steps
-        if s is None or s == 1:
-            rk = scheme if s is None else StepScheme("euler", scheme.dt)
-            for j in range(n_steps):
-                try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = scheme.ab_steps
+            if s is None or s == 1:
+                rk = scheme if s is None else StepScheme("euler", scheme.dt)
+                for j in range(n_steps):
                     out[j + 1] = _rk_step(rk, model, out[j], _control_at(controls, j))
                     _check_finite(out[j + 1], step_index=j)
-                except PropagationError as err:
-                    raise PropagationError(
-                        f"propagation failed at step {j}: {err}",
-                        sample_index=err.sample_index,
-                        step_index=j,
-                    ) from None
-            return out
+                return out
 
-        boot = scheme.bootstrap() if s > 1 else scheme
-        w = _AB_WEIGHTS[s]
-        dt = scheme._require_dt()
-        history: list[np.ndarray] = []  # rhs values, most recent first
-        for j in range(n_steps):
-            uj = _control_at(controls, j)
-            fj = model.rhs(out[j], uj)
-            if j < s - 1:
-                out[j + 1] = _rk_step(boot, model, out[j], uj)
-            else:
-                acc = w[0] * fj
-                for q in range(1, s):
-                    acc = acc + w[q] * history[q - 1]
-                out[j + 1] = out[j] + dt * acc
-            _check_finite(out[j + 1], step_index=j)
-            history.insert(0, fj)
-            del history[s - 1 :]
-        return out
+            boot = scheme.bootstrap() if s > 1 else scheme
+            w = _AB_WEIGHTS[s]
+            dt = scheme._require_dt()
+            history: list[np.ndarray] = []  # rhs values, most recent first
+            for j in range(n_steps):
+                uj = _control_at(controls, j)
+                fj = model.rhs(out[j], uj)
+                if j < s - 1:
+                    out[j + 1] = _rk_step(boot, model, out[j], uj)
+                else:
+                    acc = w[0] * fj
+                    for q in range(1, s):
+                        acc = acc + w[q] * history[q - 1]
+                    out[j + 1] = out[j] + dt * acc
+                _check_finite(out[j + 1], step_index=j)
+                history.insert(0, fj)
+                del history[s - 1 :]
+            return out
     except DomainError as err:
         err.step_index = j
         raise

@@ -7,11 +7,14 @@ the barrier/penalty rounds for every merit: the multi-shooting program, the
 single-shooting polish (one round on the reduced merit) and `minimize_box`.
 Inner iterations are limited-memory quasi-Newton steps with Armijo
 backtracking and a fraction-to-boundary cap that keeps every iterate
-strictly inside the bounds.
+strictly inside the bounds. Each trial point costs one forward pass; the
+accepted trial's gradient is one backward sweep over the trajectory that
+pass stored, so no point is propagated twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -152,15 +155,19 @@ def _max_step(x, d, lo, hi, frac):
     return alpha
 
 
-def _lbfgs_inner(value_grad, value_only, x, lo, hi, tol, cfg, log=None, label="", extra=None):
+def _lbfgs_inner(value, gradient, x, lo, hi, tol, cfg, log=None, label="", extra=None):
     """Minimize a smooth merit inside the box; returns the final iterate.
 
+    value(x) -> (merit, evaluation) runs at each trial point and gradient(
+    evaluation) -> (grad, objective, residual) only at the accepted one.
     Every accepted step satisfies the Armijo sufficient-decrease condition,
     and the fraction-to-boundary cap keeps iterates strictly interior.
     """
-    f, g = value_grad(x)
+    f, ev = value(x)
     if not np.isfinite(f):
         raise ParameterError("merit not finite at the inner start point")
+    g, obj, cres = gradient(ev)
+    ev = None  # an evaluation holds a trajectory: release each once spent
     mem: list[tuple[np.ndarray, np.ndarray, float]] = []
     iters = 0
     status = "maxiter"
@@ -179,16 +186,18 @@ def _lbfgs_inner(value_grad, value_only, x, lo, hi, tol, cfg, log=None, label=""
         accepted = False
         for _ in range(cfg.max_linesearch):
             trial = x + alpha * d
-            f_trial = value_only(trial)
+            f_trial, ev = value(trial)
             if np.isfinite(f_trial) and f_trial <= f + cfg.armijo * alpha * slope:
                 accepted = True
                 break
+            ev = None
             alpha *= cfg.backtrack
         iters += 1
         if not accepted:
             status = "linesearch"
             break
-        f_new, g_new = value_grad(trial)
+        g_new, obj, cres = gradient(ev)
+        ev = None
         s = trial - x
         y = g_new - g
         sy = float(np.dot(s, y))
@@ -196,12 +205,12 @@ def _lbfgs_inner(value_grad, value_only, x, lo, hi, tol, cfg, log=None, label=""
             mem.append((s, y, 1.0 / sy))
             if len(mem) > cfg.memory:
                 mem.pop(0)
-        x, f, g = trial, f_new, g_new
+        x, f, g = trial, f_trial, g_new
         if log is not None:
             gi = float(np.max(np.abs(g))) if g.size else 0.0
-            tail = f"  {extra()}" if extra is not None else ""
+            tail = f"  {extra(obj, cres)}" if extra is not None else ""
             log(f"{label}inner {iters:4d}  merit={f: .9e}  grad_inf={gi:.3e}  step={alpha:.3e}{tail}")
-    return x, f, g, status, iters
+    return x, f, g, status, iters, obj, cres
 
 
 @dataclass
@@ -282,8 +291,8 @@ def _path_barrier_terms(problem: OcProblem, means, mu: float):
 class _MeritEvaluator:
     """Value and gradient of objective + path barrier + continuity penalty.
 
-    One forward pass per evaluation; all gradient seeds are combined into a
-    single backward sweep per segment (`transcription.merit_gradient`).
+    `value` is one forward pass; `gradient` combines all seeds of that pass
+    into a single backward sweep per segment (`transcription.merit_gradient`).
 
     The multi-shooting layout iterates over the controls and the interface
     states, in scaled coordinates: interface-state entries carry a sqrt(M)
@@ -325,10 +334,12 @@ class _MeritEvaluator:
         ends = np.cumsum([seg.steps * m for seg in self.problem.plan.segments])[:-1]
         return NlpPoint(tuple(b.reshape(-1, m) for b in np.split(x_phys, ends)), ())
 
-    def components(self, point: NlpPoint, mu: float, nu: float, rho: float):
-        """One forward pass: (merit, objective, residual, segs, path-barrier
-        coefficients, control-barrier gradient)."""
+    def evaluate(self, z: np.ndarray, mu: float, nu: float, rho: float):
+        """One forward pass at the scaled point z: (merit, evaluation), where
+        the evaluation holds the trajectory and seeds `gradient` needs.
+        Raises when z does not propagate or crosses a barrier."""
         problem = self.problem
+        point = self.point(self.to_physical(z))
         if self.reduced:
             segs = tr.continuous_forward(problem, point.controls)
             gaps = []
@@ -348,26 +359,28 @@ class _MeritEvaluator:
                 u_flat, self.lo_vec[: self.n_controls], self.hi_vec[: self.n_controls], mu
             )
             merit += bar_value
-        return merit, obj, cres, segs, path_coefs, bar_grad
-
-    def value(self, z: np.ndarray, mu: float, nu: float = 0.0, rho: float = 0.0) -> float:
-        try:
-            return self.components(self.point(self.to_physical(z)), mu, nu, rho)[0]
-        except (PropagationError, DomainError, BarrierInfeasible):
-            return math.inf
-
-    def value_grad(self, z: np.ndarray, mu: float, nu: float = 0.0, rho: float = 0.0):
-        """(merit, scaled gradient, objective, residual) at the scaled point z."""
-        point = self.point(self.to_physical(z))
-        merit, obj, cres, segs, path_coefs, bar_grad = self.components(point, mu, nu, rho)
         gap_weight = 0.0 if self.reduced else nu + rho * cres
+        return merit, (point, segs, obj, cres, gap_weight, path_coefs, bar_grad)
+
+    def value(self, z: np.ndarray, mu: float, nu: float = 0.0, rho: float = 0.0):
+        """`evaluate`, with (inf, None) where z does not propagate or crosses
+        a barrier: a rejected trial."""
+        try:
+            return self.evaluate(z, mu, nu, rho)
+        except (PropagationError, DomainError, BarrierInfeasible):
+            return math.inf, None
+
+    def gradient(self, evaluation):
+        """(scaled gradient, objective, residual) of an evaluation, from one
+        backward sweep per segment over its stored trajectory."""
+        point, segs, obj, cres, gap_weight, path_coefs, bar_grad = evaluation
         grad = tr.merit_gradient(
             self.problem, point, segs, gap_weight=gap_weight, path_coefs=path_coefs,
             chain=self.reduced, workers=self.workers,
         ).to_vector()
         if bar_grad is not None:
             grad[: self.n_controls] += bar_grad
-        return merit, grad * self.scale, obj, cres
+        return grad * self.scale, obj, cres
 
     def bound_violation(self, x: np.ndarray) -> float:
         viol = 0.0
@@ -406,18 +419,21 @@ class _BoxMerit:
         self.func, self.lo_vec, self.hi_vec = func, lo, hi
         self.has_ineq = bool(np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)))
 
-    def value_grad(self, z, mu, nu, rho):
-        v, g = self.func(z)
-        if mu > 0.0:
-            bv, bg = barrier_value_and_gradient(z, self.lo_vec, self.hi_vec, mu)
-            return v + bv, g + bg, v, 0.0
-        return v, g, v, 0.0
-
     def value(self, z, mu, nu, rho):
+        """(merit, evaluation) with one call of func; (inf, None) where func
+        fails or z crosses the box."""
         try:
-            return self.value_grad(z, mu, nu, rho)[0]
-        except BarrierInfeasible:
-            return math.inf
+            v, g = self.func(z)
+            if mu > 0.0:
+                bv, bg = barrier_value_and_gradient(z, self.lo_vec, self.hi_vec, mu)
+                return v + bv, (g + bg, v, 0.0)
+            return v, (g, v, 0.0)
+        except (PropagationError, DomainError, BarrierInfeasible):
+            return math.inf, None
+
+    @staticmethod
+    def gradient(evaluation):
+        return evaluation
 
 
 def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
@@ -428,8 +444,8 @@ def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
     quasi-Newton inner loop, starting from the previous round's iterate.
     Between rounds the multiplier estimate takes nu += rho * c, the penalty
     rho grows while the residual c stalls above tolerance, and the barrier
-    mu shrinks. A round's objective and residual are those of the merit
-    gradient at the returned iterate, which the inner loop evaluates last.
+    mu shrinks. A round's objective and residual are those of the inner
+    loop's last gradient, taken at the iterate it returns.
     label prefixes the inner log lines and summary, when given, formats the
     round's log line; both are format strings over the round's record.
 
@@ -438,27 +454,14 @@ def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
     history: list[OuterRecord] = []
     status = SolveStatus.iteration_limit
     prev_cres = None
-    last = [math.nan, math.nan]  # objective and residual of the last gradient
     for outer in range(1, cfg.max_outer + 1):
-
-        def value_grad(z, mu=mu, nu=nu, rho=rho):
-            try:
-                merit, grad, last[0], last[1] = ev.value_grad(z, mu, nu, rho)
-                return merit, grad
-            except (PropagationError, DomainError, BarrierInfeasible):
-                return math.inf, np.zeros_like(z)
-
-        def value_only(z, mu=mu, nu=nu, rho=rho):
-            return ev.value(z, mu, nu, rho)
-
         tol = max(cfg.inner_tol, cfg.inner_tol_scale * mu)
-        x, merit, g, inner_status, iters = _lbfgs_inner(
-            value_grad, value_only, x, ev.lo_vec, ev.hi_vec, tol, cfg,
-            log=log, label=label.format(outer=outer),
-            extra=None if ev.reduced else (lambda: f"cres={last[1]:.3e}"),
+        x, merit, g, inner_status, iters, obj, cres = _lbfgs_inner(
+            functools.partial(ev.value, mu=mu, nu=nu, rho=rho), ev.gradient,
+            x, ev.lo_vec, ev.hi_vec, tol, cfg, log=log, label=label.format(outer=outer),
+            extra=None if ev.reduced else (lambda obj, cres: f"cres={cres:.3e}"),
         )
         ginf = float(np.max(np.abs(g))) if g.size else 0.0
-        obj, cres = last
         record = OuterRecord(outer, mu, rho, nu, merit, obj, cres, ginf, iters)
         history.append(record)
         if log is not None and summary is not None:
@@ -512,7 +515,7 @@ def solve(
     rho = cfg.penalty_rho0 if problem.n_segments > 1 else 0.0
 
     try:
-        first = ev.components(ev.point(ev.to_physical(x)), mu, 0.0, rho)[0]
+        first = ev.evaluate(x, mu, 0.0, rho)[0]
     except (PropagationError, DomainError) as err:
         raise ParameterError(
             f"initial guess does not propagate (sample {err.sample_index}, "

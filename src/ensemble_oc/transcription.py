@@ -453,18 +453,19 @@ def _fd_control_gradient_batched(problem: OcProblem, point: NlpPoint, h=None) ->
         else 1e-6 * (1.0 + np.abs(base_u.ravel()))
     )
 
-    # 2 * n_pert control copies, each differing from the base in one entry
-    u_batch = np.tile(base_u[:, None, :], (1, 2 * n_pert, 1))
-    for c in range(n_pert):
-        j, ch = divmod(c, m)
-        u_batch[j, 2 * c, ch] += steps[c]
-        u_batch[j, 2 * c + 1, ch] -= steps[c]
-
     x0 = initial_ensemble(problem)
     M = problem.M
     # samples axis carries perturbation x sample pairs
     x0_full = np.repeat(x0[None, :, :], 2 * n_pert, axis=0).reshape(-1, problem.model.n)
-    u_full = np.repeat(u_batch, M, axis=1)
+
+    def control_rows(j):
+        # step j of the 2 * n_pert copies, each differing from the base in one entry
+        rows = np.tile(base_u[j], (2 * n_pert, 1))
+        ch = np.arange(m)
+        c = j * m + ch
+        rows[2 * c, ch] += steps[c]
+        rows[2 * c + 1, ch] -= steps[c]
+        return np.repeat(rows, M, axis=0)
 
     scheme = problem.segment_scheme(0)
     cost = problem.cost
@@ -474,6 +475,7 @@ def _fd_control_gradient_batched(problem: OcProblem, point: NlpPoint, h=None) ->
     from .integrators import step as _step  # local alias, single-step path
 
     if scheme.ab_steps is not None and scheme.ab_steps > 1:
+        u_full = np.stack([control_rows(j) for j in range(n_steps)])
         states = propagate_segment(scheme, problem.model, x0_full, u_full)
         if cost.has_running:
             running_acc = dt * cost.running_value(states[:-1]).sum(axis=0)
@@ -482,21 +484,18 @@ def _fd_control_gradient_batched(problem: OcProblem, point: NlpPoint, h=None) ->
         for j in range(n_steps):
             if cost.has_running:
                 running_acc += dt * cost.running_value(state)
-            state = _step(scheme, problem.model, state, u_full[j])
+            state = _step(scheme, problem.model, state, control_rows(j))
 
     term = cost.terminal_value(state)
     per_copy = (term + running_acc).reshape(2 * n_pert, M).mean(axis=1)
 
     q = cost.control_energy
-    grad = np.empty(n_pert)
-    for c in range(n_pert):
-        j, ch = divmod(c, m)
-        plus, minus = per_copy[2 * c], per_copy[2 * c + 1]
-        if q != 0.0:
-            u0 = base_u[j, ch]
-            plus += 0.5 * q * dt * ((u0 + steps[c]) ** 2 - u0**2)
-            minus += 0.5 * q * dt * ((u0 - steps[c]) ** 2 - u0**2)
-        grad[c] = (plus - minus) / (2.0 * steps[c])
+    plus, minus = per_copy[0::2], per_copy[1::2]
+    if q != 0.0:
+        u0 = base_u.ravel()
+        plus = plus + 0.5 * q * dt * ((u0 + steps) ** 2 - u0**2)
+        minus = minus + 0.5 * q * dt * ((u0 - steps) ** 2 - u0**2)
+    grad = (plus - minus) / (2.0 * steps)
     return NlpPoint((grad.reshape(n_steps, m),), ())
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,19 @@ def test_propagation_failure_carries_indices():
         propagate_segment(StepScheme("euler", 1.0), model, x0, np.zeros((10, 1)))
     assert err.value.sample_index == 1
     assert err.value.step_index is not None
+
+
+@pytest.mark.parametrize("kind", ["euler", "rk4", "ab2"])
+def test_propagation_failure_names_step_once_without_warnings(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PropagationError) as err:
+            propagate_segment(
+                StepScheme(kind, 1.0), Blowup(), np.array([[0.0], [1.0]]), np.zeros((10, 1))
+            )
+    assert str(err.value) == (
+        f"propagation produced a non-finite state (sample 1, step {err.value.step_index})"
+    )
 
 
 def test_ab_bootstrap_matches_reference_update():

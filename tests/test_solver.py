@@ -124,13 +124,14 @@ def test_armijo_accepted_steps_decrease_merit():
         v = float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2)
         return v, np.array([2 * (x[0] - 2.0), 2 * (x[1] + 1.0)])
 
-    def f_only(x):
-        return fg(x)[0]
+    def gradient(z):
+        merits.append(fg(z)[0])
+        return fg(z)[1], fg(z)[0], 0.0
 
     cfg = SolverConfig()
-    x, f, g, status, iters = _lbfgs_inner(
-        lambda z: (merits.append(fg(z)[0]), fg(z))[1],
-        f_only,
+    x, f, g, status, iters, _, _ = _lbfgs_inner(
+        lambda z: (fg(z)[0], z),
+        gradient,
         np.zeros(2),
         np.full(2, -np.inf),
         np.full(2, np.inf),
@@ -140,6 +141,61 @@ def test_armijo_accepted_steps_decrease_merit():
     assert status == "converged"
     # merit sequence recorded at accepted iterates decreases monotonically
     assert all(b <= a + 1e-15 for a, b in zip(merits, merits[1:]))
+
+
+def test_minimize_box_evaluates_each_point_once():
+    # one round: every later round starts by evaluating the point the
+    # previous one returned, at its new barrier weight
+    seen = []
+
+    def func(x):
+        seen.append(x.copy())
+        a, b = x
+        value = float((1.0 - a) ** 2 + 10.0 * (b - a * a) ** 2)
+        return value, np.array([-2.0 * (1.0 - a) - 40.0 * a * (b - a * a), 20.0 * (b - a * a)])
+
+    res = minimize_box(
+        func, np.array([-0.5, 0.5]), lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 0.8]),
+        config=SolverConfig(max_outer=1, max_inner=60),
+    )
+    assert res.inner_iterations > 10
+    assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+
+
+def test_minimize_box_domain_error_in_trial_is_a_rejected_trial():
+    def func(x):
+        if x[0] > 0.5:
+            raise eoc.DomainError("x must stay below 0.5")
+        return float((x[0] - 3.0) ** 2), np.array([2.0 * (x[0] - 3.0)])
+
+    res = minimize_box(func, np.array([0.0]))
+    assert isinstance(res.status, SolveStatus)
+    assert res.x[0] <= 0.5
+
+
+def test_solve_propagates_each_evaluated_point_once(monkeypatch):
+    from ensemble_oc.solver import _MeritEvaluator, _ReducedEvaluator
+
+    counts = {"forward": 0, "value": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("forward_pass", "continuous_forward"):
+        monkeypatch.setattr(tr, name, counting("forward", getattr(tr, name)))
+    for cls in (_MeritEvaluator, _ReducedEvaluator):
+        monkeypatch.setattr(cls, "value", counting("value", cls.value))
+    problem = _ugv_instance(M=3, segments=3, steps=4)
+    report = solve(problem, config=SolverConfig(max_outer=2, max_inner=8, polish_max_inner=8))
+    assert len(report.history) == report.outer_iterations + 1  # the polish ran
+    # the start check and the final continuous trajectory are the only
+    # forward passes that are not a trial
+    assert counts["value"] > 0
+    assert counts["forward"] == counts["value"] + 2
 
 
 def test_solve_deterministic_ugv_quickly():
@@ -202,8 +258,8 @@ def test_merit_gradient_with_path_bounds_matches_fd(rng):
     point = _random_point(problem, rng, jitter=0.02)
     z = ev.to_scaled(point.to_vector())
     mu, nu, rho = 0.05, 0.3, 10.0
-    _, grad, *_ = ev.value_grad(z, mu, nu, rho)
-    fd = eoc.fd_gradient(lambda v: ev.value(v, mu, nu, rho), z)
+    grad, *_ = ev.gradient(ev.value(z, mu, nu, rho)[1])
+    fd = eoc.fd_gradient(lambda v: ev.value(v, mu, nu, rho)[0], z)
     assert np.abs(grad - fd).max() <= 1e-5 * (1 + np.abs(grad).max())
 
 
