@@ -35,7 +35,7 @@ def main():
     t_fd = time.time() - t0
 
     err = np.abs(grad.controls[0] - fd.controls[0])
-    times = tr.problem_times(problem)
+    times = eoc.control_times(problem.plan)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "abs_error_u1", "abs_error_u2"])

@@ -19,7 +19,7 @@ from . import transcription as tr
 from .errors import (
     DomainError, EmptyEnsembleError, ParameterError, PropagationError, ShapeMismatchError,
 )
-from .grids import uniform_plan
+from .grids import control_times, uniform_plan
 from .integrators import StepScheme
 from .models import (
     ChebyshevReactionDiffusion,
@@ -248,7 +248,7 @@ def cmd_gradcheck(args) -> int:
     exact = np.concatenate([g.ravel() for g in grad.controls])
     approx = np.concatenate([g.ravel() for g in fd.controls])
     err = np.abs(exact - approx)
-    times = tr.problem_times(problem)
+    times = control_times(problem.plan)
     m = problem.model.m
     rows = []
     for c in range(err.size):

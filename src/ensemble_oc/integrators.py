@@ -10,7 +10,9 @@ through the stages, stay available in `step_jacobians` as an independent
 reference. Adams-Bashforth schemes combine the latest rhs evaluations with
 the standard weight tables and bootstrap their startup steps with a
 Runge-Kutta method of matching order; their multi-step structure is
-differentiated inside the backward sweep.
+differentiated inside the backward sweep. One step loop, `_march`, drives
+every scheme; `propagate_segment` stores what it yields, and the batched
+finite difference of `transcription` reduces it as it goes.
 """
 
 from __future__ import annotations
@@ -123,8 +125,13 @@ def _check_finite(x: np.ndarray, step_index=None):
         )
 
 
+def _tableau(scheme: StepScheme):
+    """Butcher tableau of a one-step scheme; ab1 is explicit Euler."""
+    return _BUTCHER["euler" if scheme.ab_steps == 1 else scheme.kind]
+
+
 def _rk_step(scheme, model, x, u):
-    a, b, _ = _BUTCHER[scheme.kind]
+    a, b, _ = _tableau(scheme)
     dt = scheme._require_dt()
     stages = []
     # divergence shows up as non-finite output and is reported by the caller,
@@ -142,35 +149,15 @@ def _rk_step(scheme, model, x, u):
     return out
 
 
-def step(
-    scheme: StepScheme,
-    model: DynamicsModel,
-    x: np.ndarray,
-    u: np.ndarray,
-    history: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Advance the ensemble one step of size scheme.dt.
+def step(scheme: StepScheme, model: DynamicsModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Advance the ensemble one step of size scheme.dt with a one-step scheme.
 
-    history holds prior rhs evaluations, most recent first; it is required
-    exactly when the scheme is Adams-Bashforth with more than one step.
+    ab1 is explicit Euler. Adams-Bashforth kinds with s > 1 depend on past
+    rhs values and are rejected here; `propagate_segment` runs them.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s = scheme.ab_steps
-    if s is None or s == 1:
-        out = _rk_step(scheme if s is None else StepScheme("euler", scheme.dt), model, x, u)
-    else:
-        if history is None or len(history) != s - 1:
-            raise ParameterError(
-                f"{scheme.kind} needs {s - 1} history values, got "
-                f"{0 if history is None else len(history)}"
-            )
-        dt = scheme._require_dt()
-        w = _AB_WEIGHTS[s]
-        acc = w[0] * model.rhs(x, u)
-        for q in range(1, s):
-            acc = acc + w[q] * history[q - 1]
-        out = x + dt * acc
+    if scheme.ab_steps not in (None, 1):
+        raise ParameterError(f"{scheme.kind} is a multi-step map; propagate a segment instead")
+    out = _rk_step(scheme, model, np.asarray(x, dtype=float), np.asarray(u, dtype=float))
     _check_finite(out)
     return out
 
@@ -186,8 +173,7 @@ def step_jacobians(scheme: StepScheme, model: DynamicsModel, x, u):
         raise ParameterError(
             f"{scheme.kind} is a multi-step map; its derivatives live in the backward sweep"
         )
-    kind = "euler" if scheme.ab_steps == 1 else scheme.kind
-    a, b, _ = _BUTCHER[kind]
+    a, b, _ = _tableau(scheme)
     dt = scheme._require_dt()
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -224,8 +210,7 @@ def _rk_step_vjp(scheme: StepScheme, model: DynamicsModel, x, u, lam):
     discrete adjoints"). Rows stay per sample: shapes (..., n) and (..., m).
     The caller guarantees a one-step scheme with a bound step size.
     """
-    kind = "euler" if scheme.ab_steps == 1 else scheme.kind
-    a, b, _ = _BUTCHER[kind]
+    a, b, _ = _tableau(scheme)
     dt = scheme._require_dt()
     n_stages = b.size
     # the last stage's rhs feeds no later stage, so it is never recomputed
@@ -252,9 +237,41 @@ def _rk_step_vjp(scheme: StepScheme, model: DynamicsModel, x, u, lam):
     return lam_x, lam_u
 
 
-def _control_at(controls: np.ndarray, j: int) -> np.ndarray:
-    """Row j of shared (N, m) controls or per-sample (N, M, m) controls."""
-    return controls[j]
+def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls):
+    """Yield the ensemble state after each step, one step per control row.
+
+    The one step loop of every scheme: Runge-Kutta steps, and Adams-Bashforth
+    steps after their Runge-Kutta bootstrap. controls is iterated row by row,
+    so its rows may be built as the steps run. A non-finite state raises
+    `PropagationError` and a model's `DomainError` gets the step index.
+    """
+    s = scheme.ab_steps or 1
+    w = _AB_WEIGHTS[s]
+    x = x0
+    history: list[np.ndarray] = []  # rhs values, most recent first
+    for j, uj in enumerate(controls):
+        try:
+            if s == 1:
+                x = _rk_step(scheme, model, x, uj)
+            else:
+                # as in `_rk_step`; scoped to the step, so the caller's error
+                # state holds between yields
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fj = model.rhs(x, uj)
+                    if j < s - 1:
+                        x = _rk_step(scheme.bootstrap(), model, x, uj)
+                    else:
+                        acc = w[0] * fj
+                        for q in range(1, s):
+                            acc = acc + w[q] * history[q - 1]
+                        x = x + scheme._require_dt() * acc
+                history.insert(0, fj)
+                del history[s - 1 :]
+        except DomainError as err:
+            err.step_index = j
+            raise
+        _check_finite(x, step_index=j)
+        yield x
 
 
 def propagate_segment(
@@ -279,41 +296,8 @@ def propagate_segment(
         )
     if controls.ndim == 3 and controls.shape[1] != x0.shape[0]:
         raise ShapeMismatchError("per-sample controls do not match the ensemble size")
-    n_steps = controls.shape[0]
-    out = np.empty((n_steps + 1,) + x0.shape)
+    out = np.empty((controls.shape[0] + 1,) + x0.shape)
     out[0] = x0
-
-    j = 0  # the step a model DomainError is attributed to
-    # as in `_rk_step`, divergence is reported by `_check_finite`, not by
-    # the overflow warnings on the way there
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = scheme.ab_steps
-            if s is None or s == 1:
-                rk = scheme if s is None else StepScheme("euler", scheme.dt)
-                for j in range(n_steps):
-                    out[j + 1] = _rk_step(rk, model, out[j], _control_at(controls, j))
-                    _check_finite(out[j + 1], step_index=j)
-                return out
-
-            boot = scheme.bootstrap() if s > 1 else scheme
-            w = _AB_WEIGHTS[s]
-            dt = scheme._require_dt()
-            history: list[np.ndarray] = []  # rhs values, most recent first
-            for j in range(n_steps):
-                uj = _control_at(controls, j)
-                fj = model.rhs(out[j], uj)
-                if j < s - 1:
-                    out[j + 1] = _rk_step(boot, model, out[j], uj)
-                else:
-                    acc = w[0] * fj
-                    for q in range(1, s):
-                        acc = acc + w[q] * history[q - 1]
-                    out[j + 1] = out[j] + dt * acc
-                _check_finite(out[j + 1], step_index=j)
-                history.insert(0, fj)
-                del history[s - 1 :]
-            return out
-    except DomainError as err:
-        err.step_index = j
-        raise
+    for j, x in enumerate(_march(scheme, model, x0, controls), 1):
+        out[j] = x
+    return out

@@ -516,7 +516,9 @@ def solve(
 
     try:
         first = ev.evaluate(x, mu, 0.0, rho)[0]
-    except (PropagationError, DomainError) as err:
+    except PropagationError as err:  # its text names the sample and step
+        raise ParameterError(f"initial guess does not propagate: {err}") from err
+    except DomainError as err:
         raise ParameterError(
             f"initial guess does not propagate (sample {err.sample_index}, "
             f"step {err.step_index}): {err}"

@@ -8,7 +8,9 @@ and ensemble-mean path quantities all share one forward pass. Their
 gradients come from one seed assembler, `merit_gradient`, and one backward
 sweep per segment (`sweep_gradient`); with `chain` the interface states are
 eliminated by continuous propagation and the costate is carried across
-interfaces, which gives the single-shooting gradient.
+interfaces, which gives the single-shooting gradient. The finite-difference
+cross-check, `fd_objective_gradient`, runs each segment once with all its
+perturbed copies along the sample axis, for every plan and scheme.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
-from .gradients import backward_gradient, fd_gradient
-from .grids import ControlSchedule, ShootingPlan, control_times
-from .integrators import StepScheme, propagate_segment
+from .gradients import backward_gradient
+from .grids import ControlSchedule, ShootingPlan
+from .integrators import StepScheme, _march, propagate_segment
 from .models import DynamicsModel
 from .sampling import RandomInputSpec, sample_initial_ensemble
 
@@ -428,80 +430,69 @@ def path_constraint_values(problem: OcProblem, point: NlpPoint, segs=None):
 def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoint:
     """Centered finite differences of the objective over the decision vector.
 
-    Single-segment programs batch all control perturbations through one
-    vectorized forward run (each perturbed copy of the ensemble rides along
-    the sample axis); multi-segment programs fall back to the serial
-    coordinate loop.
+    With its start states given, a segment's share of the objective depends
+    only on its own controls and start states, so each segment takes one
+    vectorized forward run: two perturbed copies of the ensemble per control
+    entry and, after the first segment, two perturbed copies of one sample
+    per start-state entry ride along the sample axis. Steps follow
+    `fd_gradient`: h, or 1e-6 * (1 + |coordinate|).
     """
-    if problem.n_segments == 1:
-        return _fd_control_gradient_batched(problem, point, h=h)
+    if len(point.controls) != problem.n_segments:
+        raise ShapeMismatchError("point does not match the shooting plan")
+    cost, M, n = problem.cost, problem.M, problem.model.n
+    last = problem.n_segments - 1
 
-    def functional(vec):
-        return evaluate_objective(problem, NlpPoint.from_vector(problem, vec))
+    def fd_steps(v):
+        return np.full(v.size, h) if h is not None else 1e-6 * (1.0 + np.abs(v.ravel()))
 
-    flat = fd_gradient(functional, point.to_vector(), h=h)
-    return NlpPoint.from_vector(problem, flat)
+    du, dx0 = [], []
+    for k, seg in enumerate(problem.plan.segments):
+        base_u = point.controls[k]
+        n_pert = base_u.size
+        steps = fd_steps(base_u)
+        x0 = initial_ensemble(problem) if k == 0 else point.interface_states[k - 1]
+        # rows: copy-major, sample-minor ensemble copies, then one-sample copies
+        state = np.repeat(x0[None, :, :], 2 * n_pert, axis=0).reshape(-1, n)
+        if k > 0:
+            hx = fd_steps(x0)
+            one = np.repeat(x0, 2 * n, axis=0)
+            e = np.arange(x0.size)
+            one[2 * e, e % n] += hx
+            one[2 * e + 1, e % n] -= hx
+            state = np.concatenate([state, one])
+        n_rows, n_ens = state.shape[0], 2 * n_pert * M
 
+        def control_rows(j):
+            # step j of every row; ensemble copies 2c and 2c + 1 differ from
+            # the base in control entry c
+            rows = np.tile(base_u[j], (n_rows, 1))
+            ch = np.arange(base_u.shape[1])
+            c = j * ch.size + ch
+            ens = rows[:n_ens].reshape(n_pert, 2, M, ch.size)
+            ens[c, 0, :, ch] += steps[c][:, None]
+            ens[c, 1, :, ch] -= steps[c][:, None]
+            return rows
 
-def _fd_control_gradient_batched(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoint:
-    base_u = point.controls[0]
-    n_steps, m = base_u.shape
-    n_pert = n_steps * m
-    steps = (
-        np.full(n_pert, h)
-        if h is not None
-        else 1e-6 * (1.0 + np.abs(base_u.ravel()))
-    )
-
-    x0 = initial_ensemble(problem)
-    M = problem.M
-    # samples axis carries perturbation x sample pairs
-    x0_full = np.repeat(x0[None, :, :], 2 * n_pert, axis=0).reshape(-1, problem.model.n)
-
-    def control_rows(j):
-        # step j of the 2 * n_pert copies, each differing from the base in one entry
-        rows = np.tile(base_u[j], (2 * n_pert, 1))
-        ch = np.arange(m)
-        c = j * m + ch
-        rows[2 * c, ch] += steps[c]
-        rows[2 * c + 1, ch] -= steps[c]
-        return np.repeat(rows, M, axis=0)
-
-    scheme = problem.segment_scheme(0)
-    cost = problem.cost
-    dt = problem.plan.segments[0].dt
-    state = x0_full
-    running_acc = np.zeros(x0_full.shape[0])
-    from .integrators import step as _step  # local alias, single-step path
-
-    if scheme.ab_steps is not None and scheme.ab_steps > 1:
-        u_full = np.stack([control_rows(j) for j in range(n_steps)])
-        states = propagate_segment(scheme, problem.model, x0_full, u_full)
-        if cost.has_running:
-            running_acc = dt * cost.running_value(states[:-1]).sum(axis=0)
-        state = states[-1]
-    else:
-        for j in range(n_steps):
+        running = np.zeros(n_rows)
+        rows_at = (control_rows(j) for j in range(base_u.shape[0]))
+        for x in _march(problem.segment_scheme(k), problem.model, state, rows_at):
             if cost.has_running:
-                running_acc += dt * cost.running_value(state)
-            state = _step(scheme, problem.model, state, control_rows(j))
+                running += seg.dt * cost.running_value(state)
+            state = x
+        value = cost.terminal_value(state) + running if k == last else running
 
-    term = cost.terminal_value(state)
-    per_copy = (term + running_acc).reshape(2 * n_pert, M).mean(axis=1)
-
-    q = cost.control_energy
-    plus, minus = per_copy[0::2], per_copy[1::2]
-    if q != 0.0:
-        u0 = base_u.ravel()
-        plus = plus + 0.5 * q * dt * ((u0 + steps) ** 2 - u0**2)
-        minus = minus + 0.5 * q * dt * ((u0 - steps) ** 2 - u0**2)
-    grad = (plus - minus) / (2.0 * steps)
-    return NlpPoint((grad.reshape(n_steps, m),), ())
-
-
-def problem_times(problem: OcProblem) -> np.ndarray:
-    """Left-endpoint control times of the whole plan."""
-    return control_times(problem.plan)
+        per_copy = value[:n_ens].reshape(2 * n_pert, M).mean(axis=1)
+        plus, minus = per_copy[0::2], per_copy[1::2]
+        q = cost.control_energy
+        if q != 0.0:
+            u0 = base_u.ravel()
+            plus = plus + 0.5 * q * seg.dt * ((u0 + steps) ** 2 - u0**2)
+            minus = minus + 0.5 * q * seg.dt * ((u0 - steps) ** 2 - u0**2)
+        du.append(((plus - minus) / (2.0 * steps)).reshape(base_u.shape))
+        if k > 0:
+            per_row = value[n_ens:] / M
+            dx0.append(((per_row[0::2] - per_row[1::2]) / (2.0 * hx)).reshape(x0.shape))
+    return NlpPoint(tuple(du), tuple(dx0))
 
 
 def continuous_forward(problem: OcProblem, controls: tuple[np.ndarray, ...]):

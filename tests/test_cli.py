@@ -129,6 +129,19 @@ def test_gradcheck_small_pde(tmp_path):
     assert len(lines) == 1 + summary["n_coordinates"]
 
 
+def test_gradcheck_multi_shooting(tmp_path):
+    # two shooting segments: every segment's controls go through the batched FD
+    out = tmp_path / "g"
+    code = run_cli(
+        "gradcheck", "--problem", "ugv-stochastic", "--M", "20", "--segments", "2",
+        "--out", str(out),
+    )
+    assert code == 0
+    summary = json.loads((out / "gradcheck_summary.json").read_text())
+    assert summary["passed"] is True
+    assert summary["n_coordinates"] == 400
+
+
 def test_verify_flow_and_grid_mismatch(tmp_path, capsys):
     out = tmp_path / "solve"
     run_cli("solve", "--problem", "ugv-nominal", "--dt", "0.5", "--out", str(out))

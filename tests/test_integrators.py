@@ -184,6 +184,12 @@ def test_multistep_jacobians_rejected():
         step_jacobians(StepScheme("ab2", 0.1), Linear1d(), np.array([1.0]), np.array([0.0]))
 
 
+@pytest.mark.parametrize("kind", ["ab2", "ab3"])
+def test_step_rejects_multistep(kind):
+    with pytest.raises(ParameterError):
+        step(StepScheme(kind, 0.1), Linear1d(), np.array([1.0]), np.array([0.0]))
+
+
 def test_propagate_telescoping_sum():
     # x' = u with Euler and dt = 1 accumulates the partial sums of u
     model = Linear1d(a=0.0, b=1.0)

@@ -12,6 +12,7 @@ from ensemble_oc import (
     solve,
 )
 from ensemble_oc.solver import BarrierInfeasible, _lbfgs_inner, _max_step
+from test_integrators import Blowup
 from test_transcription import _ugv_instance, _random_point
 
 
@@ -380,6 +381,22 @@ def test_initial_guess_error_names_sample_and_step(kind):
     assert step is not None
     with pytest.raises(eoc.ParameterError, match=f"sample {sample}, step {step}\\)"):
         solve(problem, initial_guess=NlpPoint((u,), ()))
+
+
+def test_non_finite_initial_guess_names_sample_and_step_once():
+    problem = eoc.OcProblem(
+        model=Blowup(),
+        plan=eoc.uniform_plan(1.0, 1, 0.1),
+        scheme=eoc.StepScheme("euler"),
+        initial=eoc.RandomInputSpec((eoc.Uniform(0.5, 1.0),)),
+        M=3,
+        cost=eoc.CostSpec(terminal_weights=np.array([1.0]), terminal_target=np.array([0.0])),
+        control_lo=np.array([-np.inf]),
+        control_hi=np.array([np.inf]),
+    )
+    with pytest.raises(eoc.ParameterError, match=r"\(sample \d+, step \d+\)") as err:
+        solve(problem)
+    assert str(err.value).count("(sample") == 1
 
 
 def test_report_schema_status_enum_matches_solve_status():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,3 +296,43 @@ def test_batched_fd_matches_serial(rng):
 
     serial = eoc.fd_gradient(functional, point.to_vector())
     assert np.abs(batched.to_vector() - serial).max() <= 1e-9
+
+
+@pytest.mark.parametrize("running", [False, True])
+@pytest.mark.parametrize("kind", ["rk4", "ab2"])
+@pytest.mark.parametrize("segments", [1, 2, 3])
+def test_batched_fd_matches_serial_every_plan(rng, segments, kind, running):
+    # q != 0 and interface states off continuity; every segment's controls
+    # and start states go through the one batched path
+    problem = _ugv_instance(M=2, segments=segments, steps=6).replace(scheme=StepScheme(kind))
+    if running:
+        c = problem.cost
+        problem = problem.replace(cost=CostSpec(
+            c.terminal_weights, c.terminal_target, c.control_energy,
+            running_weights=np.array([0.5, 0.3, 0.2, 0.0]),
+        ))
+    point = _random_point(problem, rng)
+    batched = tr.fd_objective_gradient(problem, point).to_vector()
+
+    def functional(vec):
+        return eoc.evaluate_objective(problem, NlpPoint.from_vector(problem, vec))
+
+    serial = eoc.fd_gradient(functional, point.to_vector())
+    assert np.abs(batched - serial).max() <= 1e-8 * (1.0 + np.abs(serial).max())
+
+
+@pytest.mark.parametrize("kind", ["ab2", "rk4", "euler"])
+def test_batched_fd_memory_flat_in_steps(kind, rng):
+    # one copied ensemble is rows x n floats; the pass keeps a few states and
+    # stages of the wide ensemble, never its trajectory
+    problem = _ugv_instance(M=2, segments=1, steps=200).replace(scheme=StepScheme(kind))
+    point = NlpPoint((rng.uniform(-0.9, 0.9, (200, 2)),), ())
+    ensemble_bytes = 2 * point.controls[0].size * problem.M * problem.model.n * 8
+    tr.fd_objective_gradient(problem, point)
+    tracemalloc.start()
+    try:
+        tr.fd_objective_gradient(problem, point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * ensemble_bytes
