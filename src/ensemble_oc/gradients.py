@@ -21,9 +21,9 @@ from .errors import ParameterError, ShapeMismatchError
 from .integrators import StepScheme, _rk_step_vjp
 from .models import DynamicsModel
 
-# target floats of per-batch Jacobian workspace; keeps the auxiliary footprint
-# near one megabyte regardless of state dimension while amortizing call
-# overhead for small systems
+# fixes the sample-batch boundaries of the sweep, and with them the order in
+# which the per-batch control gradients are summed; changing it moves the last
+# bits of every gradient
 _BATCH_TARGET_FLOATS = 131072
 
 

@@ -1,13 +1,14 @@
 """Verification of candidate controls through the sampled minimum principle.
 
-Workflow: propagate a fresh ensemble forward under the fixed candidate,
-integrate the costates backward with the exact discrete adjoint of the same
-scheme (the gradient engine's `backward_gradient`, which records the
-costate at every node; Runge-Kutta and Adams-Bashforth schemes alike), then
-minimize the sample-mean Hamiltonian pointwise in time and report how far
-the candidate sits from that minimizer. Small discrepancy means the
-candidate satisfies the necessary optimality conditions; it is not a proof
-of optimality.
+Workflow: propagate a fresh ensemble forward under the fixed candidate
+(as a transcription point without interface states, which propagates
+continuously), integrate the costates backward with the exact discrete
+adjoint of the same scheme (the gradient engine's `backward_gradient`, which
+records the costate at every node; Runge-Kutta and Adams-Bashforth schemes
+alike), then minimize the sample-mean Hamiltonian pointwise in time and
+report how far the candidate sits from that minimizer. Small discrepancy
+means the candidate satisfies the necessary optimality conditions; it is not
+a proof of optimality.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .gradients import backward_gradient
 from .grids import ControlSchedule, EnsembleTrajectory, ShootingPlan
 from .integrators import StepScheme
 from .models import DynamicsModel
-from .transcription import OcProblem, continuous_forward
+from .transcription import NlpPoint, OcProblem, forward_pass
 
 
 def hamiltonian(model: DynamicsModel, u, x, lam, q: float):
@@ -235,7 +236,7 @@ def verify(
         seed=problem.seed if seed is None else int(seed),
     )
     model, cost = problem.model, problem.cost
-    segs = continuous_forward(fresh, candidate.values)
+    segs = forward_pass(fresh, NlpPoint(candidate.values, ()))
     trajectory = EnsembleTrajectory(problem.plan, tuple(segs))
 
     terminal_grad = cost.terminal_grad(trajectory.terminal)

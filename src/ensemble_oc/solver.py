@@ -9,7 +9,9 @@ Inner iterations are limited-memory quasi-Newton steps with Armijo
 backtracking and a fraction-to-boundary cap that keeps every iterate
 strictly inside the bounds. Each trial point costs one forward pass; the
 accepted trial's gradient is one backward sweep over the trajectory that
-pass stored, so no point is propagated twice.
+pass stored, so no point is propagated twice. The polish evaluates points
+without interface states, which the transcription reads as the continuous
+trajectory; the merit code is the same for both layouts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PropagationError
+from .errors import DomainError, ParameterError, PropagationError, ShapeMismatchError
 from . import transcription as tr
 from .transcription import NlpPoint, OcProblem
 
@@ -298,7 +300,8 @@ class _MeritEvaluator:
     states, in scaled coordinates: interface-state entries carry a sqrt(M)
     factor, which undoes the 1/M Monte Carlo weighting of their curvature
     and keeps the quasi-Newton conditioning independent of the sample count.
-    The reduced layout (`reduced`) iterates over the controls only.
+    The reduced layout (`reduced`) iterates over the controls only, as
+    points without interface states.
     """
 
     reduced = False
@@ -340,12 +343,8 @@ class _MeritEvaluator:
         Raises when z does not propagate or crosses a barrier."""
         problem = self.problem
         point = self.point(self.to_physical(z))
-        if self.reduced:
-            segs = tr.continuous_forward(problem, point.controls)
-            gaps = []
-        else:
-            segs = tr.forward_pass(problem, point)
-            gaps = tr.continuity_gaps(problem, point, segs)
+        segs = tr.forward_pass(problem, point)
+        gaps = tr.continuity_gaps(problem, point, segs)
         obj = tr.evaluate_objective(problem, point, segs)
         cres = sum(float(np.sum(g * g)) for g in gaps) / problem.M
         merit = obj + nu * cres + 0.5 * rho * cres * cres
@@ -359,8 +358,7 @@ class _MeritEvaluator:
                 u_flat, self.lo_vec[: self.n_controls], self.hi_vec[: self.n_controls], mu
             )
             merit += bar_value
-        gap_weight = 0.0 if self.reduced else nu + rho * cres
-        return merit, (point, segs, obj, cres, gap_weight, path_coefs, bar_grad)
+        return merit, (point, segs, obj, cres, nu + rho * cres, path_coefs, bar_grad)
 
     def value(self, z: np.ndarray, mu: float, nu: float = 0.0, rho: float = 0.0):
         """`evaluate`, with (inf, None) where z does not propagate or crosses
@@ -376,7 +374,7 @@ class _MeritEvaluator:
         point, segs, obj, cres, gap_weight, path_coefs, bar_grad = evaluation
         grad = tr.merit_gradient(
             self.problem, point, segs, gap_weight=gap_weight, path_coefs=path_coefs,
-            chain=self.reduced, workers=self.workers,
+            workers=self.workers,
         ).to_vector()
         if bar_grad is not None:
             grad[: self.n_controls] += bar_grad
@@ -510,7 +508,13 @@ def solve(
     cfg = config or SolverConfig()
     ev = _MeritEvaluator(problem, workers=workers)
     point = initial_guess if initial_guess is not None else tr.default_start(problem)
-    x = ev.to_scaled(_pull_interior(point.to_vector(), ev.lo_vec, ev.hi_vec))
+    x = point.to_vector()
+    if len(point.interface_states) != problem.n_segments - 1 or x.size != ev.lo_vec.size:
+        raise ShapeMismatchError(
+            f"initial guess has {x.size} values and {len(point.interface_states)} interface "
+            f"states; the program has {ev.lo_vec.size} and {problem.n_segments - 1}"
+        )
+    x = ev.to_scaled(_pull_interior(x, ev.lo_vec, ev.hi_vec))
     mu = cfg.barrier_mu0 if ev.has_ineq else 0.0
     rho = cfg.penalty_rho0 if problem.n_segments > 1 else 0.0
 
@@ -558,9 +562,9 @@ def solve(
         else:
             status = polish_status
             history.append(replace(rows[0], outer=outer + 1))
-            blocks = tuple(b.copy() for b in red.point(z).controls)
-            segs = tr.continuous_forward(problem, blocks)
-            final = NlpPoint(blocks, tuple(seg[-1].copy() for seg in segs[:-1]))
+            # the polish iterate is strictly inside the box, so the clip of
+            # default_start leaves it unchanged
+            final = tr.default_start(problem, red.point(z).schedule(problem.plan))
             x_phys = final.to_vector()
 
     last = history[-1]  # the polish round reports a zero residual

@@ -6,11 +6,12 @@ from the fixed seeded ensemble; continuity across interfaces is enforced
 through a single aggregated sum-of-squares residual. Objective, continuity
 and ensemble-mean path quantities all share one forward pass. Their
 gradients come from one seed assembler, `merit_gradient`, and one backward
-sweep per segment (`sweep_gradient`); with `chain` the interface states are
-eliminated by continuous propagation and the costate is carried across
-interfaces, which gives the single-shooting gradient. The finite-difference
-cross-check, `fd_objective_gradient`, runs each segment once with all its
-perturbed copies along the sample axis, for every plan and scheme.
+sweep per segment (`sweep_gradient`). A point without interface states is
+the continuous (single-shooting) trajectory: each segment starts where the
+one before ends, there are no gaps, and the sweeps carry the costate across
+interfaces. The finite-difference cross-check, `fd_objective_gradient`, runs
+each segment once with all its perturbed copies along the sample axis, for
+every plan and scheme.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class OcProblem:
 @dataclass(frozen=True)
 class NlpPoint:
     """Decision variables: per-segment control blocks plus the per-sample
-    states opening each segment after the first."""
+    states opening each segment after the first. Without those states the
+    point is the continuous trajectory of its controls."""
 
     controls: tuple[np.ndarray, ...]
     interface_states: tuple[np.ndarray, ...]
@@ -213,28 +215,32 @@ def default_start(problem: OcProblem, controls=None) -> NlpPoint:
     else:
         blocks = ControlSchedule.constant(problem.plan, controls).values
     blocks = tuple(np.clip(b, problem.control_lo, problem.control_hi) for b in blocks)
-    interfaces = []
-    state = initial_ensemble(problem)
-    for k in range(problem.n_segments - 1):
-        states = propagate_segment(problem.segment_scheme(k), problem.model, state, blocks[k])
-        state = states[-1]
-        interfaces.append(state.copy())
-    return NlpPoint(blocks, tuple(interfaces))
+    segs = _shoot(problem, blocks[:-1], ())
+    return NlpPoint(blocks, tuple(states[-1].copy() for states in segs))
+
+
+def _shoot(problem: OcProblem, controls, starts) -> list[np.ndarray]:
+    """Propagate one segment per control block. Segment k > 0 starts from
+    starts[k - 1], or, where starts is empty, from the end of segment k - 1."""
+    segs = []
+    start = initial_ensemble(problem)
+    for k, u in enumerate(controls):
+        if k > 0:
+            start = starts[k - 1] if starts else segs[-1][-1]
+        segs.append(propagate_segment(problem.segment_scheme(k), problem.model, start, u))
+    return segs
 
 
 def forward_pass(problem: OcProblem, point: NlpPoint) -> list[np.ndarray]:
-    """Propagate every segment from its own initial ensemble."""
-    if len(point.controls) != problem.n_segments:
-        raise ShapeMismatchError("point does not match the shooting plan")
-    segs = []
-    start = initial_ensemble(problem)
-    for k in range(problem.n_segments):
-        segs.append(
-            propagate_segment(problem.segment_scheme(k), problem.model, start, point.controls[k])
+    """Propagate every segment: from the point's own interface states, or,
+    for a point without them, continuously from the end of the one before."""
+    n_seg = problem.n_segments
+    if len(point.controls) != n_seg or len(point.interface_states) not in (0, n_seg - 1):
+        raise ShapeMismatchError(
+            f"point with {len(point.controls)} control blocks and {len(point.interface_states)} "
+            f"interface states does not match {n_seg} segments ({n_seg - 1} or 0 states)"
         )
-        if k < problem.n_segments - 1:
-            start = point.interface_states[k]
-    return segs
+    return _shoot(problem, point.controls, point.interface_states)
 
 
 def control_energy_value(problem: OcProblem, point: NlpPoint) -> float:
@@ -283,30 +289,27 @@ def sweep_gradient(
     segs,
     terminal_seeds,
     running_seeds,
-    batch_size: int | None = None,
     workers: int = 1,
-    chain: bool = False,
 ):
     """Per-segment backward sweeps, last first: (control grads, initial-state
-    grads). With chain the trajectory is continuous: each segment's
+    grads). A point without interface states is continuous: each segment's
     initial-state gradient is added to the terminal seed of the one before."""
     n_seg = problem.n_segments
     du, dx0 = [None] * n_seg, [None] * n_seg
     for k in range(n_seg - 1, -1, -1):
         seed = terminal_seeds[k]
-        if chain and k < n_seg - 1:
+        if not point.interface_states and k < n_seg - 1:
             seed = seed + dx0[k + 1]
         du[k], dx0[k] = backward_gradient(
             problem.segment_scheme(k), problem.model, segs[k], point.controls[k], seed,
-            running_seed=running_seeds[k], batch_size=batch_size, workers=workers,
+            running_seed=running_seeds[k], workers=workers,
         )
     return du, dx0
 
 
 def continuity_gaps(problem: OcProblem, point: NlpPoint, segs) -> list[np.ndarray]:
-    return [
-        segs[k][-1] - point.interface_states[k] for k in range(problem.n_segments - 1)
-    ]
+    """End of segment k minus interface state k; none for a continuous point."""
+    return [states[-1] - start for states, start in zip(segs, point.interface_states)]
 
 
 def merit_gradient(
@@ -316,7 +319,6 @@ def merit_gradient(
     objective: bool = True,
     gap_weight: float = 0.0,
     path_coefs=None,
-    chain: bool = False,
     workers: int = 1,
 ) -> NlpPoint:
     """Exact gradient of objective + gap_weight * continuity + path terms,
@@ -324,9 +326,9 @@ def merit_gradient(
 
     gap_weight scales the residual sum_k mean_i |gap_i|^2 (no gap terms when
     zero); path_coefs[k] is the (N_k + 1, n) derivative of a path term with
-    respect to the ensemble mean at every node. With chain the interface
-    states are eliminated (segs from `continuous_forward`): the costate is
-    carried across interfaces and the result has no interface block.
+    respect to the ensemble mean at every node. The result has the point's
+    layout: for a continuous point (no interface states) the costate is
+    carried across interfaces and there is no interface block.
     """
     M = problem.M
     if objective:
@@ -342,16 +344,12 @@ def merit_gradient(
                 running[k] = np.zeros_like(segs[k])
             running[k] = running[k] + coef[:, None, :] / M
 
-    du, dx0 = sweep_gradient(
-        problem, point, segs, terminal, running, workers=workers, chain=chain
-    )
+    du, dx0 = sweep_gradient(problem, point, segs, terminal, running, workers=workers)
     q = problem.cost.control_energy if objective else 0.0
     if q != 0.0:
         for k, seg in enumerate(problem.plan.segments):
             du[k] = du[k] + q * seg.dt * point.controls[k]
-    if chain:
-        return NlpPoint(tuple(du), ())
-    iface = dx0[1:]
+    iface = dx0[1:] if point.interface_states else []
     for k, gap in enumerate(gaps):
         iface[k] = iface[k] - (2.0 * gap_weight / M) * gap
     return NlpPoint(tuple(du), tuple(iface))
@@ -375,7 +373,7 @@ def continuity_residual(
     One scalar for all samples and interfaces; zero exactly when every sample
     is continuous at every interface.
     """
-    if problem.n_segments == 1:
+    if not point.interface_states:
         return 0.0, NlpPoint(tuple(np.zeros_like(c) for c in point.controls), ())
     if segs is None:
         segs = forward_pass(problem, point)
@@ -437,10 +435,14 @@ def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoi
     per start-state entry ride along the sample axis. Steps follow
     `fd_gradient`: h, or 1e-6 * (1 + |coordinate|).
     """
-    if len(point.controls) != problem.n_segments:
-        raise ShapeMismatchError("point does not match the shooting plan")
-    cost, M, n = problem.cost, problem.M, problem.model.n
     last = problem.n_segments - 1
+    if len(point.controls) != last + 1 or len(point.interface_states) != last:
+        raise ShapeMismatchError(
+            "finite differences run each segment from its own start states: the point "
+            f"needs {last + 1} control blocks and {last} interface states, got "
+            f"{len(point.controls)} and {len(point.interface_states)}"
+        )
+    cost, M, n = problem.cost, problem.M, problem.model.n
 
     def fd_steps(v):
         return np.full(v.size, h) if h is not None else 1e-6 * (1.0 + np.abs(v.ravel()))
@@ -494,16 +496,3 @@ def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoi
             dx0.append(((per_row[0::2] - per_row[1::2]) / (2.0 * hx)).reshape(x0.shape))
     return NlpPoint(tuple(du), tuple(dx0))
 
-
-def continuous_forward(problem: OcProblem, controls: tuple[np.ndarray, ...]):
-    """Propagate the whole horizon continuously: each segment starts from the
-    previous segment's endpoint, so interface continuity holds exactly."""
-    segs = []
-    state = initial_ensemble(problem)
-    for k in range(problem.n_segments):
-        states = propagate_segment(
-            problem.segment_scheme(k), problem.model, state, controls[k]
-        )
-        segs.append(states)
-        state = states[-1]
-    return segs

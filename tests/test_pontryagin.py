@@ -296,7 +296,7 @@ def test_adjoint_sweep_two_segments_matches_dense_reference(kind, rng):
         scheme=StepScheme(kind)
     )
     schedule = ControlSchedule.from_stacked(problem.plan, rng.uniform(-1, 1, (10, 2)))
-    segs = tr.continuous_forward(problem, schedule.values)
+    segs = tr.forward_pass(problem, tr.NlpPoint(schedule.values, ()))
     terminal = rng.standard_normal((3, 4))
 
     def running(k, j):  # nonzero at every node, segment ends included

@@ -186,17 +186,15 @@ def test_solve_propagates_each_evaluated_point_once(monkeypatch):
 
         return wrapped
 
-    for name in ("forward_pass", "continuous_forward"):
-        monkeypatch.setattr(tr, name, counting("forward", getattr(tr, name)))
+    monkeypatch.setattr(tr, "forward_pass", counting("forward", tr.forward_pass))
     for cls in (_MeritEvaluator, _ReducedEvaluator):
         monkeypatch.setattr(cls, "value", counting("value", cls.value))
     problem = _ugv_instance(M=3, segments=3, steps=4)
     report = solve(problem, config=SolverConfig(max_outer=2, max_inner=8, polish_max_inner=8))
     assert len(report.history) == report.outer_iterations + 1  # the polish ran
-    # the start check and the final continuous trajectory are the only
-    # forward passes that are not a trial
+    # the start check is the only forward pass that is not a trial
     assert counts["value"] > 0
-    assert counts["forward"] == counts["value"] + 2
+    assert counts["forward"] == counts["value"] + 1
 
 
 def test_solve_deterministic_ugv_quickly():
@@ -238,6 +236,15 @@ def test_solve_rejects_nonfinite_start(rng):
     bad = NlpPoint(warm.controls, (np.full_like(warm.interface_states[0], np.nan),))
     with pytest.raises(eoc.ParameterError):
         solve(problem, initial_guess=bad)
+
+
+@pytest.mark.parametrize("layout", ["continuous", "one interface too many"])
+def test_solve_rejects_initial_guess_of_wrong_layout(layout):
+    problem = _ugv_instance(M=2, segments=2, steps=3)
+    start = tr.default_start(problem)
+    states = () if layout == "continuous" else 2 * start.interface_states
+    with pytest.raises(eoc.ShapeMismatchError, match="initial guess"):
+        solve(problem, initial_guess=NlpPoint(start.controls, states))
 
 
 def test_workers_do_not_change_solution(rng):

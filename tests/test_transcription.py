@@ -60,6 +60,14 @@ def _ugv_instance(M=2, segments=2, steps=5, seed=0, q=0.01):
     )
 
 
+def _running_cost(problem):
+    c = problem.cost
+    return problem.replace(cost=CostSpec(
+        c.terminal_weights, c.terminal_target, c.control_energy,
+        running_weights=np.array([0.5, 0.3, 0.2, 0.0]),
+    ))
+
+
 def _random_point(problem, rng, jitter=0.02):
     blocks = tuple(
         rng.uniform(-0.9, 0.9, (seg.steps, problem.model.m))
@@ -306,11 +314,7 @@ def test_batched_fd_matches_serial_every_plan(rng, segments, kind, running):
     # and start states go through the one batched path
     problem = _ugv_instance(M=2, segments=segments, steps=6).replace(scheme=StepScheme(kind))
     if running:
-        c = problem.cost
-        problem = problem.replace(cost=CostSpec(
-            c.terminal_weights, c.terminal_target, c.control_energy,
-            running_weights=np.array([0.5, 0.3, 0.2, 0.0]),
-        ))
+        problem = _running_cost(problem)
     point = _random_point(problem, rng)
     batched = tr.fd_objective_gradient(problem, point).to_vector()
 
@@ -336,3 +340,45 @@ def test_batched_fd_memory_flat_in_steps(kind, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * ensemble_bytes
+
+
+@pytest.mark.parametrize("kind", ["rk4", "ab2"])
+@pytest.mark.parametrize("segments", [2, 3])
+def test_point_without_interface_states_is_the_continuous_trajectory(rng, segments, kind):
+    problem = _running_cost(
+        _ugv_instance(M=3, segments=segments, steps=4).replace(scheme=StepScheme(kind))
+    )
+    controls = _random_point(problem, rng).controls
+    continuous = NlpPoint(controls, ())
+    warm = tr.default_start(problem, tr.ControlSchedule(problem.plan, controls))
+    for got, want in zip(tr.forward_pass(problem, continuous), tr.forward_pass(problem, warm)):
+        np.testing.assert_array_equal(got, want)
+
+    _, grad = eoc.objective_gradient(problem, continuous)
+    assert grad.interface_states == ()
+    m = problem.model.m
+    ends = np.cumsum([seg.steps * m for seg in problem.plan.segments])[:-1]
+
+    def functional(vec):
+        blocks = tuple(b.reshape(-1, m) for b in np.split(vec, ends))
+        return eoc.evaluate_objective(problem, NlpPoint(blocks, ()))
+
+    fd = eoc.fd_gradient(functional, continuous.to_vector())
+    assert np.abs(grad.to_vector() - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("segments", [2, 3])
+def test_forward_pass_rejects_partial_interface_layouts(rng, segments):
+    problem = _ugv_instance(M=2, segments=segments, steps=3)
+    point = _random_point(problem, rng)
+    state = point.interface_states[0]
+    for count in {1, segments} - {0, segments - 1}:
+        with pytest.raises(eoc.ShapeMismatchError, match="interface states"):
+            tr.forward_pass(problem, NlpPoint(point.controls, count * (state,)))
+
+
+def test_fd_gradient_needs_interface_states(rng):
+    problem = _ugv_instance(M=2, segments=2, steps=3)
+    point = _random_point(problem, rng)
+    with pytest.raises(eoc.ShapeMismatchError, match="start states"):
+        tr.fd_objective_gradient(problem, NlpPoint(point.controls, ()))
