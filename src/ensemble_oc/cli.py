@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -130,7 +129,7 @@ def _build_problem(args) -> tuple[OcProblem, str]:
     if args.problem_file:
         problem = load_problem_file(args.problem_file)
         source = str(args.problem_file)
-        if args.M:
+        if args.M is not None:
             problem = problem.replace(M=args.M)
         if args.seed is not None:
             problem = problem.replace(seed=args.seed)
@@ -157,13 +156,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**kw)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("ENSEMBLE_OC_WORKERS")
-    return int(env) if env else 1
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -174,12 +166,7 @@ def cmd_solve(args) -> int:
     problem, source = _build_problem(args)
     out = _outdir(args)
     log_lines = []
-    report = solve(
-        problem,
-        config=_solver_config(args),
-        log=log_lines.append,
-        workers=_workers(args),
-    )
+    report = solve(problem, config=_solver_config(args), log=log_lines.append)
     schedule = report.point.schedule(problem.plan)
     reporting.write_controls_csv(out / "controls.csv", problem.plan, schedule)
     segs = tr.forward_pass(problem, report.point)
@@ -243,7 +230,7 @@ def cmd_gradcheck(args) -> int:
     )
     schedule = tr.ControlSchedule(problem.plan, blocks)
     point = tr.NlpPoint(blocks, tr.default_start(problem, schedule).interface_states)
-    _, grad = tr.objective_gradient(problem, point, workers=_workers(args))
+    _, grad = tr.objective_gradient(problem, point)
     fd = tr.fd_objective_gradient(problem, point)
     exact = np.concatenate([g.ravel() for g in grad.controls])
     approx = np.concatenate([g.ravel() for g in fd.controls])
@@ -285,8 +272,6 @@ def _add_common(p: argparse.ArgumentParser, need_out=True):
     p.add_argument("--segments", type=int, default=None, help="override segment count")
     p.add_argument("--t-f", dest="t_f", type=float, default=None, help="override horizon length")
     p.add_argument("--n-nodes", type=int, default=None, help="override spatial nodes (pde problems)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="sample-batch worker threads (env ENSEMBLE_OC_WORKERS)")
     p.add_argument("--tol", type=float, default=None, help="solver tolerance")
     p.add_argument("--max-iters", type=int, default=None, help="max inner iterations per outer round")
     if need_out:

@@ -4,16 +4,15 @@ The forward trajectory is kept in memory. Each backward step recomputes the
 Runge-Kutta stage states from the stored state and pulls the costate back
 through the stages with model vector-Jacobian products, so no dense step
 Jacobian is formed; with an analytic model VJP the sweep costs about one
-forward pass. Its auxiliary memory is bounded by the sample batch size and
-does not grow with the number of time steps. On request the sweep also
-records the costate at every node (`costates`), which is the discrete
-adjoint trajectory of the minimum-principle check. A central
+forward pass. The samples are swept in batches of a size derived from the
+state and control dimensions, so its auxiliary memory is bounded by the
+batch and does not grow with the number of time steps. On request the
+sweep also records the costate at every node (`costates`), which is the
+discrete adjoint trajectory of the minimum-principle check. A central
 finite-difference fallback serves as the independent cross-check.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .models import DynamicsModel
 _BATCH_TARGET_FLOATS = 131072
 
 
-def default_batch_size(n: int, m: int) -> int:
+def samples_per_batch(n: int, m: int) -> int:
     return max(1, _BATCH_TARGET_FLOATS // (n * (n + m + 1)))
 
 
@@ -107,8 +106,6 @@ def backward_gradient(
     controls: np.ndarray,
     terminal_seed: np.ndarray,
     running_seed=None,
-    batch_size: int | None = None,
-    workers: int = 1,
     costates: np.ndarray | None = None,
 ):
     """Gradient of a seeded scalar functional over one shooting segment.
@@ -124,8 +121,8 @@ def backward_gradient(
 
     Returns (dJ/dU, dJ/dX0) with shapes (N, m) and (M, n); the control
     gradient is summed over samples, the initial-state gradient is per
-    sample. Sample batches are reduced in a fixed order, so the result does
-    not depend on the worker count.
+    sample. The sample batches are swept and their control gradients summed
+    in sample order.
     """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -147,33 +144,21 @@ def backward_gradient(
 
     n_samples = states.shape[1]
     seed_at = _seed_accessor(running_seed, states.shape[0])
-    if batch_size is None:
-        batch_size = default_batch_size(model.n, model.m)
-    batch = max(1, int(batch_size))
-    slices = [slice(i, min(i + batch, n_samples)) for i in range(0, n_samples, batch)]
+    batch = samples_per_batch(model.n, model.m)
     multi = scheme.ab_steps is not None and scheme.ab_steps > 1
-
-    def one_batch(sl):
+    sweep = _sweep_multi_step if multi else _sweep_single_step
+    grad_controls = np.zeros((controls.shape[0], model.m))
+    grad_initial = np.empty_like(terminal_seed)
+    for start in range(0, n_samples, batch):
+        sl = slice(start, min(start + batch, n_samples))
         lam = terminal_seed[sl].copy()
         seed = seed_at(controls.shape[0])
         if seed is not None:
             lam += seed[sl]
         if costates is not None:
             costates[-1, sl] = lam
-        sweep = _sweep_multi_step if multi else _sweep_single_step
-        return sweep(scheme, model, states, controls, lam, seed_at, sl, costates)
-
-    if workers > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_batch, slices))
-    else:
-        results = [one_batch(sl) for sl in slices]
-
-    grad_controls = np.zeros((controls.shape[0], model.m))
-    grad_initial = np.empty_like(terminal_seed)
-    for sl, (du, lam0) in zip(slices, results):
+        du, grad_initial[sl] = sweep(scheme, model, states, controls, lam, seed_at, sl, costates)
         grad_controls += du
-        grad_initial[sl] = lam0
     return grad_controls, grad_initial
 
 

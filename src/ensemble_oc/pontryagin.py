@@ -164,6 +164,12 @@ def ensemble_argmin_control(
     return (u_star, bang) if return_flag else u_star
 
 
+# a candidate passes when its mean and its largest discrepancy stay within
+# these shares of the control range
+_MEAN_TOL_FRAC = 0.05
+_MAX_TOL_FRAC = 0.15
+
+
 @dataclass(frozen=True)
 class OptimalityReport:
     """Pointwise comparison of a candidate against the Hamiltonian minimizer."""
@@ -223,8 +229,6 @@ def verify(
     candidate: ControlSchedule,
     M_verify: int | None = None,
     seed: int | None = None,
-    mean_tol_frac: float = 0.05,
-    max_tol_frac: float = 0.15,
 ) -> OptimalityReport:
     """Forward-backward sweep plus pointwise Hamiltonian minimization."""
     if candidate.plan.total_steps != problem.plan.total_steps or len(
@@ -287,10 +291,10 @@ def verify(
         discrepancy=disc,
         max_discrepancy=max_disc,
         mean_discrepancy=mean_disc,
-        fraction_within=float(np.mean(disc <= mean_tol_frac * rng_ref)),
+        fraction_within=float(np.mean(disc <= _MEAN_TOL_FRAC * rng_ref)),
         control_range=rng_ref,
-        mean_tol_frac=mean_tol_frac,
-        max_tol_frac=max_tol_frac,
-        passed=(mean_disc <= mean_tol_frac * rng_ref) and (max_disc <= max_tol_frac * rng_ref),
+        mean_tol_frac=_MEAN_TOL_FRAC,
+        max_tol_frac=_MAX_TOL_FRAC,
+        passed=(mean_disc <= _MEAN_TOL_FRAC * rng_ref) and (max_disc <= _MAX_TOL_FRAC * rng_ref),
         bang_bang=bang,
     )

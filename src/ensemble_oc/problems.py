@@ -37,6 +37,12 @@ PDE_RUNNING_WEIGHT = 2.0
 PDE_NOISE_VARIANCE = 1e-3
 
 
+def _given(value, default):
+    """An override, or the default where none is given; a zero override is
+    kept, so that it reaches the validation of the value."""
+    return default if value is None else value
+
+
 def _ugv_cost(q):
     return CostSpec(
         terminal_weights=np.array([1.0, 1.0, 0.0, 0.0]),
@@ -58,10 +64,10 @@ def _ugv(stochastic: bool, M, seed, dt, segments, t_f, q):
         m_default = 1
     return OcProblem(
         model=model,
-        plan=uniform_plan(t_f if t_f else 10.0, segments or 2, dt or 0.05),
+        plan=uniform_plan(_given(t_f, 10.0), _given(segments, 2), _given(dt, 0.05)),
         scheme=StepScheme("rk4"),
         initial=initial,
-        M=M or m_default,
+        M=_given(M, m_default),
         cost=_ugv_cost(UGV_CONTROL_ENERGY if q is None else q),
         control_lo=np.array([-1.0, -1.0]),
         control_hi=np.array([1.0, 1.0]),
@@ -74,10 +80,10 @@ def _ugv_bicycle(M, seed, dt, segments, t_f, q):
     model = UgvBicycle(wheelbase=1.0)
     return OcProblem(
         model=model,
-        plan=uniform_plan(t_f if t_f else 100.0, segments or 1, dt or 0.1),
+        plan=uniform_plan(_given(t_f, 100.0), _given(segments, 1), _given(dt, 0.1)),
         scheme=StepScheme("rk4"),
         initial=RandomInputSpec.all_dirac([0.0, 0.0, 0.0]),
-        M=M or 1,
+        M=_given(M, 1),
         cost=CostSpec(
             terminal_weights=np.array([2.0, 2.0, 0.0]),
             terminal_target=np.zeros(3),
@@ -127,10 +133,10 @@ def _uav(stochastic: bool, M, seed, dt, segments, t_f, q):
         model=model,
         # horizon chosen so the turn-and-climb maneuver is flyable at the
         # nominal speed; not part of any quantitative acceptance check
-        plan=uniform_plan(t_f if t_f else 60.0, segments or 1, dt or 0.1),
+        plan=uniform_plan(_given(t_f, 60.0), _given(segments, 1), _given(dt, 0.1)),
         scheme=StepScheme("rk3"),
         initial=initial,
-        M=M or m_default,
+        M=_given(M, m_default),
         cost=CostSpec(
             terminal_weights=weights,
             terminal_target=target,
@@ -144,7 +150,7 @@ def _uav(stochastic: bool, M, seed, dt, segments, t_f, q):
 
 
 def _pde(stochastic: bool, M, seed, dt, segments, t_f, q, n_nodes, noise_variance):
-    model = ChebyshevReactionDiffusion(n_nodes=n_nodes or 64)
+    model = ChebyshevReactionDiffusion(n_nodes=_given(n_nodes, 64))
     profile = 2.0 * np.sin(np.pi * model.nodes)
     if stochastic:
         std = float(np.sqrt(PDE_NOISE_VARIANCE if noise_variance is None else noise_variance))
@@ -156,10 +162,10 @@ def _pde(stochastic: bool, M, seed, dt, segments, t_f, q, n_nodes, noise_varianc
     w = model.quadrature_weights
     return OcProblem(
         model=model,
-        plan=uniform_plan(t_f if t_f else 8.0, segments or 1, dt or 5e-4),
+        plan=uniform_plan(_given(t_f, 8.0), _given(segments, 1), _given(dt, 5e-4)),
         scheme=StepScheme("euler"),
         initial=initial,
-        M=M or m_default,
+        M=_given(M, m_default),
         cost=CostSpec(
             terminal_weights=w.copy(),
             terminal_target=np.zeros(model.n),

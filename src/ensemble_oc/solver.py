@@ -11,7 +11,9 @@ strictly inside the bounds. Each trial point costs one forward pass; the
 accepted trial's gradient is one backward sweep over the trajectory that
 pass stored, so no point is propagated twice. The polish evaluates points
 without interface states, which the transcription reads as the continuous
-trajectory; the merit code is the same for both layouts.
+trajectory; the merit code is the same for both layouts. `SolverConfig`
+holds the tolerances and iteration budgets; the barrier, penalty and
+line-search constants are fixed at module level.
 """
 
 from __future__ import annotations
@@ -62,36 +64,38 @@ class SolveStatus(str, Enum):
     line_search_failure = "LineSearchFailure"
 
 
+# barrier coefficient mu: first value, factor per round, floor
+_BARRIER_MU0 = 1.0
+_BARRIER_REDUCTION = 0.1
+_MU_MIN = 1e-10
+# continuity penalty rho: first value, growth while the residual stalls, cap
+_PENALTY_RHO0 = 10.0
+_PENALTY_GROWTH = 10.0
+_PENALTY_RHO_MAX = 1e8
+# the inner tolerance of a round is at least this multiple of its mu
+_INNER_TOL_SCALE = 0.1
+# L-BFGS pairs kept, Armijo constant, backtracking factor, trials per step,
+# and the share of the distance to the nearest bound a step may take
+_MEMORY = 20
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_MAX_LINESEARCH = 40
+_BOUNDARY_FRACTION = 0.995
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    barrier_mu0: float = 1.0
-    barrier_reduction: float = 0.1
-    penalty_rho0: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_rho_max: float = 1e8
+    """Tolerances and iteration budgets. polish_max_inner budgets the final
+    controls-only round along continuous propagation, which restores exact
+    interface continuity and tightens control stationarity."""
+
     inner_tol: float = 1e-6
     outer_tol: float = 1e-6
     max_inner: int = 120
     max_outer: int = 12
-    memory: int = 20
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    boundary_fraction: float = 0.995
-    max_linesearch: int = 40
-    mu_min: float = 1e-10
-    inner_tol_scale: float = 0.1  # inner tolerance floor tied to the current mu
-    # final controls-only stage along continuous propagation; restores exact
-    # interface continuity and tightens control stationarity
-    polish: bool = True
     polish_max_inner: int = 400
 
     def __post_init__(self):
-        if not (0.0 < self.barrier_reduction < 1.0):
-            raise ParameterError("barrier_reduction must lie in (0, 1)")
-        if not self.penalty_growth > 1.0:
-            raise ParameterError("penalty_growth must exceed 1")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ParameterError("backtrack factor must lie in (0, 1)")
         for name in ("inner_tol", "outer_tol"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
@@ -184,16 +188,16 @@ def _lbfgs_inner(value, gradient, x, lo, hi, tol, cfg, log=None, label="", extra
             d = -g
             slope = -float(np.dot(g, g))
             mem.clear()
-        alpha = min(1.0, _max_step(x, d, lo, hi, cfg.boundary_fraction))
+        alpha = min(1.0, _max_step(x, d, lo, hi, _BOUNDARY_FRACTION))
         accepted = False
-        for _ in range(cfg.max_linesearch):
+        for _ in range(_MAX_LINESEARCH):
             trial = x + alpha * d
             f_trial, ev = value(trial)
-            if np.isfinite(f_trial) and f_trial <= f + cfg.armijo * alpha * slope:
+            if np.isfinite(f_trial) and f_trial <= f + _ARMIJO * alpha * slope:
                 accepted = True
                 break
             ev = None
-            alpha *= cfg.backtrack
+            alpha *= _BACKTRACK
         iters += 1
         if not accepted:
             status = "linesearch"
@@ -205,7 +209,7 @@ def _lbfgs_inner(value, gradient, x, lo, hi, tol, cfg, log=None, label="", extra
         sy = float(np.dot(s, y))
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
             mem.append((s, y, 1.0 / sy))
-            if len(mem) > cfg.memory:
+            if len(mem) > _MEMORY:
                 mem.pop(0)
         x, f, g = trial, f_trial, g_new
         if log is not None:
@@ -239,10 +243,12 @@ def minimize_box(func, x0, lo=None, hi=None, config: SolverConfig | None = None,
     hi = np.full_like(x, np.inf) if hi is None else np.broadcast_to(
         np.asarray(hi, float), x.shape
     ).copy()
-    if np.any(lo > hi):
-        raise ParameterError("box bounds need lo <= hi")
+    # the log barrier has no interior when lo == hi
+    shut = np.flatnonzero(lo >= hi)
+    if shut.size:
+        raise ParameterError(f"box bounds need lo < hi, not so at index {shut.tolist()}")
     ev = _BoxMerit(func, lo, hi)
-    mu = cfg.barrier_mu0 if ev.has_ineq else 0.0
+    mu = _BARRIER_MU0 if ev.has_ineq else 0.0
     x, status, history, _, _ = _outer_loop(
         ev, _pull_interior(x, lo, hi), mu, 0.0, 0.0, cfg, log, "", None
     )
@@ -306,9 +312,8 @@ class _MeritEvaluator:
 
     reduced = False
 
-    def __init__(self, problem: OcProblem, workers: int = 1):
+    def __init__(self, problem: OcProblem):
         self.problem = problem
-        self.workers = workers
         plan = problem.plan
         lo_parts = [np.tile(problem.control_lo, (s.steps, 1)).ravel() for s in plan.segments]
         hi_parts = [np.tile(problem.control_hi, (s.steps, 1)).ravel() for s in plan.segments]
@@ -373,8 +378,7 @@ class _MeritEvaluator:
         backward sweep per segment over its stored trajectory."""
         point, segs, obj, cres, gap_weight, path_coefs, bar_grad = evaluation
         grad = tr.merit_gradient(
-            self.problem, point, segs, gap_weight=gap_weight, path_coefs=path_coefs,
-            workers=self.workers,
+            self.problem, point, segs, gap_weight=gap_weight, path_coefs=path_coefs
         ).to_vector()
         if bar_grad is not None:
             grad[: self.n_controls] += bar_grad
@@ -453,7 +457,7 @@ def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
     status = SolveStatus.iteration_limit
     prev_cres = None
     for outer in range(1, cfg.max_outer + 1):
-        tol = max(cfg.inner_tol, cfg.inner_tol_scale * mu)
+        tol = max(cfg.inner_tol, _INNER_TOL_SCALE * mu)
         x, merit, g, inner_status, iters, obj, cres = _lbfgs_inner(
             functools.partial(ev.value, mu=mu, nu=nu, rho=rho), ev.gradient,
             x, ev.lo_vec, ev.hi_vec, tol, cfg, log=log, label=label.format(outer=outer),
@@ -465,7 +469,7 @@ def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
         if log is not None and summary is not None:
             log(summary.format(**vars(record)))
 
-        mu_done = mu <= max(cfg.mu_min, cfg.outer_tol) * (1.0 + 1e-9) or not ev.has_ineq
+        mu_done = mu <= max(_MU_MIN, cfg.outer_tol) * (1.0 + 1e-9) or not ev.has_ineq
         if ginf <= cfg.outer_tol and cres <= cfg.outer_tol and mu_done:
             status = SolveStatus.converged
             break
@@ -475,10 +479,10 @@ def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
         nu += rho * cres
         # stiffen the penalty only while the residual stalls above tolerance
         if rho > 0.0 and cres > cfg.outer_tol and (prev_cres is None or cres > 0.25 * prev_cres):
-            rho = min(rho * cfg.penalty_growth, cfg.penalty_rho_max)
+            rho = min(rho * _PENALTY_GROWTH, _PENALTY_RHO_MAX)
         prev_cres = cres
         if ev.has_ineq:
-            mu = max(mu * cfg.barrier_reduction, cfg.mu_min)
+            mu = max(mu * _BARRIER_REDUCTION, _MU_MIN)
     return x, status, history, mu, nu
 
 
@@ -496,7 +500,6 @@ def solve(
     initial_guess: NlpPoint | None = None,
     config: SolverConfig | None = None,
     log=None,
-    workers: int = 1,
 ) -> SolveReport:
     """Minimize the transcribed program from the given starting point.
 
@@ -506,7 +509,7 @@ def solve(
     report carries per-outer-iteration history and the final residuals.
     """
     cfg = config or SolverConfig()
-    ev = _MeritEvaluator(problem, workers=workers)
+    ev = _MeritEvaluator(problem)
     point = initial_guess if initial_guess is not None else tr.default_start(problem)
     x = point.to_vector()
     if len(point.interface_states) != problem.n_segments - 1 or x.size != ev.lo_vec.size:
@@ -515,8 +518,8 @@ def solve(
             f"states; the program has {ev.lo_vec.size} and {problem.n_segments - 1}"
         )
     x = ev.to_scaled(_pull_interior(x, ev.lo_vec, ev.hi_vec))
-    mu = cfg.barrier_mu0 if ev.has_ineq else 0.0
-    rho = cfg.penalty_rho0 if problem.n_segments > 1 else 0.0
+    mu = _BARRIER_MU0 if ev.has_ineq else 0.0
+    rho = _PENALTY_RHO0 if problem.n_segments > 1 else 0.0
 
     try:
         first = ev.evaluate(x, mu, 0.0, rho)[0]
@@ -543,8 +546,8 @@ def solve(
     x_phys = ev.to_physical(x)
     final = NlpPoint.from_vector(problem, x_phys)
 
-    if cfg.polish and problem.n_segments > 1:
-        red = _ReducedEvaluator(problem, workers=workers)
+    if problem.n_segments > 1:
+        red = _ReducedEvaluator(problem)
         z = _pull_interior(x_phys[: ev.n_controls].copy(), red.lo_vec, red.hi_vec)
         mu_polish = min(mu, cfg.outer_tol) if ev.has_ineq else 0.0
         polish_cfg = replace(

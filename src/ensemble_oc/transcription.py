@@ -87,8 +87,11 @@ class PathBound:
     hi: float = np.inf
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ParameterError(f"path bound needs lo <= hi, got ({self.lo}, {self.hi})")
+        # the log barrier has no interior when lo == hi
+        if self.lo >= self.hi:
+            raise ParameterError(
+                f"path bound on state {self.state_index} needs lo < hi, got ({self.lo}, {self.hi})"
+            )
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,12 @@ class OcProblem:
             arr = getattr(self, name)
             if arr.shape != (self.model.m,):
                 raise ShapeMismatchError(f"{name} must have shape ({self.model.m},)")
-        if np.any(self.control_lo > self.control_hi):
-            raise ParameterError("control_bounds: lo must not exceed hi")
+        # the log barrier has no interior when lo == hi
+        shut = np.flatnonzero(self.control_lo >= self.control_hi)
+        if shut.size:
+            raise ParameterError(
+                f"control_bounds: lo must be below hi on channel(s) {shut.tolist()}"
+            )
         for arr in (self.cost.terminal_weights, self.cost.terminal_target):
             if arr.shape != (self.model.n,):
                 raise ShapeMismatchError("cost vectors must match the state dimension")
@@ -283,14 +290,7 @@ def objective_seeds(problem: OcProblem, segs):
     return terminal, running
 
 
-def sweep_gradient(
-    problem: OcProblem,
-    point: NlpPoint,
-    segs,
-    terminal_seeds,
-    running_seeds,
-    workers: int = 1,
-):
+def sweep_gradient(problem: OcProblem, point: NlpPoint, segs, terminal_seeds, running_seeds):
     """Per-segment backward sweeps, last first: (control grads, initial-state
     grads). A point without interface states is continuous: each segment's
     initial-state gradient is added to the terminal seed of the one before."""
@@ -302,7 +302,7 @@ def sweep_gradient(
             seed = seed + dx0[k + 1]
         du[k], dx0[k] = backward_gradient(
             problem.segment_scheme(k), problem.model, segs[k], point.controls[k], seed,
-            running_seed=running_seeds[k], workers=workers,
+            running_seed=running_seeds[k],
         )
     return du, dx0
 
@@ -319,7 +319,6 @@ def merit_gradient(
     objective: bool = True,
     gap_weight: float = 0.0,
     path_coefs=None,
-    workers: int = 1,
 ) -> NlpPoint:
     """Exact gradient of objective + gap_weight * continuity + path terms,
     from one backward sweep per segment.
@@ -344,7 +343,7 @@ def merit_gradient(
                 running[k] = np.zeros_like(segs[k])
             running[k] = running[k] + coef[:, None, :] / M
 
-    du, dx0 = sweep_gradient(problem, point, segs, terminal, running, workers=workers)
+    du, dx0 = sweep_gradient(problem, point, segs, terminal, running)
     q = problem.cost.control_energy if objective else 0.0
     if q != 0.0:
         for k, seg in enumerate(problem.plan.segments):
@@ -355,19 +354,15 @@ def merit_gradient(
     return NlpPoint(tuple(du), tuple(iface))
 
 
-def objective_gradient(
-    problem: OcProblem, point: NlpPoint, segs=None, workers: int = 1
-):
+def objective_gradient(problem: OcProblem, point: NlpPoint, segs=None):
     """Objective value and its exact gradient as an NlpPoint-shaped bundle."""
     if segs is None:
         segs = forward_pass(problem, point)
     value = evaluate_objective(problem, point, segs)
-    return value, merit_gradient(problem, point, segs, workers=workers)
+    return value, merit_gradient(problem, point, segs)
 
 
-def continuity_residual(
-    problem: OcProblem, point: NlpPoint, segs=None, workers: int = 1
-):
+def continuity_residual(problem: OcProblem, point: NlpPoint, segs=None):
     """Aggregated interface mismatch c = sum_k mean_i |gap_i|^2 and its gradient.
 
     One scalar for all samples and interfaces; zero exactly when every sample
@@ -379,9 +374,7 @@ def continuity_residual(
         segs = forward_pass(problem, point)
     gaps = continuity_gaps(problem, point, segs)
     value = sum(float(np.sum(g * g)) for g in gaps) / problem.M
-    return value, merit_gradient(
-        problem, point, segs, objective=False, gap_weight=1.0, workers=workers
-    )
+    return value, merit_gradient(problem, point, segs, objective=False, gap_weight=1.0)
 
 
 @dataclass(frozen=True)

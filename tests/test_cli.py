@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ensemble_oc.cli import main
 from ensemble_oc.reporting import load_report_schema, validate_schema
 
@@ -48,8 +50,8 @@ def test_report_json_matches_schema(tmp_path):
     assert report["continuity_residual"] <= 1e-6
 
 
-def test_problem_file_roundtrip(tmp_path):
-    doc = {
+def _ugv_file_doc():
+    return {
         "model": {"type": "ugv_differential_drive", "random_radius": True},
         "t_f": 2.0,
         "dt": 0.25,
@@ -70,8 +72,11 @@ def test_problem_file_roundtrip(tmp_path):
         },
         "control_bounds": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
     }
+
+
+def test_problem_file_roundtrip(tmp_path):
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_ugv_file_doc()))
     out = tmp_path / "run"
     code = run_cli("solve", "--problem-file", str(path), "--out", str(out))
     assert code in (0, 2)
@@ -180,21 +185,27 @@ def test_exactly_one_problem_source(capsys, tmp_path):
     assert "problem" in capsys.readouterr().err
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("ENSEMBLE_OC_WORKERS", "2")
-    out = tmp_path / "w"
-    code = run_cli(
-        "solve", "--problem", "ugv-stochastic", "--M", "20", "--seed", "7",
-        "--dt", "0.5", "--out", str(out),
-    )
-    assert code == 0
-    ref = tmp_path / "ref"
-    monkeypatch.delenv("ENSEMBLE_OC_WORKERS")
-    run_cli(
-        "solve", "--problem", "ugv-stochastic", "--M", "20", "--seed", "7",
-        "--dt", "0.5", "--out", str(ref),
-    )
-    assert (out / "controls.csv").read_bytes() == (ref / "controls.csv").read_bytes()
+@pytest.mark.parametrize("override, message", [
+    (("--problem", "ugv-stochastic", "--M", "0"), "sample count"),
+    (("--problem", "ugv-stochastic", "--segments", "0"), "n_segments"),
+    (("--problem", "ugv-stochastic", "--dt", "0"), "dt > 0"),
+    (("--problem", "ugv-stochastic", "--t-f", "0"), "length 0.0"),
+    (("--problem", "pde-stochastic", "--n-nodes", "0"), "inner nodes"),
+], ids=["M", "segments", "dt", "t-f", "n-nodes"])
+def test_zero_override_is_an_error(override, message, tmp_path, capsys):
+    # a zero override must not fall back to the catalog default
+    assert run_cli("propagate", *override, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_problem_file_zero_override_is_an_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_ugv_file_doc()))
+    code = run_cli("propagate", "--problem-file", str(path), "--M", "0",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "sample count" in capsys.readouterr().err
 
 
 def test_library_error_is_one_line_with_exit_code_1(tmp_path, capsys):

@@ -12,6 +12,7 @@ from ensemble_oc import (
     UgvDifferentialDrive,
     backward_gradient,
     fd_gradient,
+    gradients,
     propagate_segment,
     step_jacobians,
 )
@@ -98,8 +99,17 @@ def _reference_sweep(scheme, model, states, controls, terminal_seed, running):
     return du, lam_ahead[0]
 
 
+def _force_batch(monkeypatch, model, size):
+    """Make the sweep's default batch hold `size` samples of this model."""
+    monkeypatch.setattr(
+        gradients, "_BATCH_TARGET_FLOATS", size * model.n * (model.n + model.m + 1)
+    )
+    assert gradients.samples_per_batch(model.n, model.m) == size
+
+
 def _sweep_case(name, rng):
-    """(model, dt, x0, controls) with samples spread over several batches."""
+    """(model, dt, x0, controls) with 7 samples: one default batch, or
+    several forced ones."""
     n_steps, n_samples = 11, 7
     if name == "uav":
         x0 = np.stack([random_uav_state(rng) for _ in range(n_samples)])
@@ -118,25 +128,21 @@ def _sweep_case(name, rng):
 
 @pytest.mark.parametrize("kind", ["euler", "rk2", "rk3", "rk4", "ab2", "ab3"])
 @pytest.mark.parametrize("name", ["ugv", "uav", "chebyshev"])
-def test_stage_reverse_sweep_matches_dense_reference(name, kind, rng):
+def test_stage_reverse_sweep_matches_dense_reference(name, kind, rng, monkeypatch):
     model, dt, x0, controls = _sweep_case(name, rng)
     scheme = StepScheme(kind, dt)
     states = propagate_segment(scheme, model, x0, controls)
     seed = rng.standard_normal(x0.shape)
     running = 0.1 * rng.standard_normal(states.shape)
     ref_u, ref_x = _reference_sweep(scheme, model, states, controls, seed, running)
-    results = [
-        backward_gradient(
-            scheme, model, states, controls, seed, running_seed=running,
-            batch_size=3, workers=workers,
+    for batch in (None, 3):  # one batch of all 7 samples, then batches of 3
+        if batch is not None:
+            _force_batch(monkeypatch, model, batch)
+        g_u, g_x = backward_gradient(
+            scheme, model, states, controls, seed, running_seed=running
         )
-        for workers in (1, 2)
-    ]
-    g_u, g_x = results[0]
-    assert np.abs(g_u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
-    assert np.abs(g_x - ref_x).max() <= 1e-12 * np.abs(ref_x).max()
-    np.testing.assert_array_equal(results[1][0], g_u)
-    np.testing.assert_array_equal(results[1][1], g_x)
+        assert np.abs(g_u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+        assert np.abs(g_x - ref_x).max() <= 1e-12 * np.abs(ref_x).max()
 
 
 def test_running_seed_accumulates(rng):
@@ -180,7 +186,7 @@ def test_sample_linearity_m3(rng):
     np.testing.assert_allclose(g_mean, np.mean(singles, axis=0), atol=1e-13)
 
 
-def test_batch_split_and_workers_deterministic(rng):
+def test_batch_split_deterministic(rng, monkeypatch):
     model = UgvDifferentialDrive(random_radius=True)
     scheme = StepScheme("rk4", 0.05)
     x0 = rng.uniform(-0.3, 0.3, (37, 4))
@@ -188,11 +194,10 @@ def test_batch_split_and_workers_deterministic(rng):
     controls = rng.uniform(-1, 1, (12, 2))
     states = propagate_segment(scheme, model, x0, controls)
     seed = rng.standard_normal((37, 4))
-    ref_u, ref_x = backward_gradient(scheme, model, states, controls, seed, batch_size=37)
-    for batch, workers in [(5, 1), (5, 4), (10, 2)]:
-        g_u, g_x = backward_gradient(
-            scheme, model, states, controls, seed, batch_size=batch, workers=workers
-        )
+    ref_u, ref_x = backward_gradient(scheme, model, states, controls, seed)  # one batch
+    for batch in (5, 10):
+        _force_batch(monkeypatch, model, batch)
+        g_u, g_x = backward_gradient(scheme, model, states, controls, seed)
         np.testing.assert_allclose(g_u, ref_u, atol=1e-12)
         np.testing.assert_array_equal(g_x, ref_x)
 
@@ -237,7 +242,7 @@ def test_fd_exact_on_random_quadratics(a, b, c):
 
 
 @pytest.mark.parametrize("kind", ["rk4", "ab2"])
-def test_costates_output_independent_of_batching(kind, rng):
+def test_costates_output_independent_of_batching(kind, rng, monkeypatch):
     model = UgvDifferentialDrive(random_radius=True)
     scheme = StepScheme(kind, 0.05)
     x0 = rng.uniform(-0.3, 0.3, (9, 4))
@@ -247,11 +252,12 @@ def test_costates_output_independent_of_batching(kind, rng):
     seed = rng.standard_normal((9, 4))
     running = 0.1 * rng.standard_normal(states.shape)
     outputs = []
-    for batch, workers in [(1, 1), (None, 1), (2, 2)]:
+    for batch in (None, 1, 2):  # one batch of all 9 samples first
+        if batch is not None:
+            _force_batch(monkeypatch, model, batch)
         costates = np.full_like(states, np.nan)
         _, g_x = backward_gradient(
-            scheme, model, states, controls, seed, running_seed=running,
-            batch_size=batch, workers=workers, costates=costates,
+            scheme, model, states, controls, seed, running_seed=running, costates=costates
         )
         np.testing.assert_array_equal(costates[0], g_x)
         np.testing.assert_array_equal(costates[-1], seed + running[-1])

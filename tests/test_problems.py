@@ -136,6 +136,19 @@ def test_override_semantics():
     assert p.cost.control_energy == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("problem_id, override", [
+    ("ugv-stochastic", {"M": 0}),
+    ("ugv-stochastic", {"segments": 0}),
+    ("ugv-stochastic", {"dt": 0.0}),
+    ("ugv-stochastic", {"t_f": 0.0}),
+    ("pde-stochastic", {"n_nodes": 0}),
+], ids=["M", "segments", "dt", "t_f", "n_nodes"])
+def test_zero_override_is_rejected(problem_id, override):
+    # zero is a value, not an absent override: it must not become the default
+    with pytest.raises(eoc.ParameterError):
+        build(problem_id, **override)
+
+
 def test_seed_and_dt_overrides():
     p = build("ugv-stochastic", M=16, seed=99, dt=0.1, segments=1)
     assert p.seed == 99

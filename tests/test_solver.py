@@ -103,6 +103,15 @@ def test_fraction_to_boundary_cap():
     assert alpha == pytest.approx(0.995 * 0.1)
 
 
+def test_minimize_box_rejects_equal_bounds():
+    # the log barrier has no interior on a coordinate with lo == hi
+    with pytest.raises(eoc.ParameterError, match=r"box bounds need lo < hi.*\[1\]"):
+        minimize_box(
+            lambda x: (float(x @ x), 2.0 * x), np.zeros(2),
+            lo=np.array([-1.0, 0.5]), hi=np.array([1.0, 0.5]),
+        )
+
+
 def test_inner_iterates_stay_strictly_inside():
     seen = []
 
@@ -245,14 +254,6 @@ def test_solve_rejects_initial_guess_of_wrong_layout(layout):
     states = () if layout == "continuous" else 2 * start.interface_states
     with pytest.raises(eoc.ShapeMismatchError, match="initial guess"):
         solve(problem, initial_guess=NlpPoint(start.controls, states))
-
-
-def test_workers_do_not_change_solution(rng):
-    problem = _ugv_instance(M=8, segments=2, steps=4)
-    guess = _random_point(problem, rng, jitter=0.0)
-    a = solve(problem, initial_guess=guess, workers=1, config=SolverConfig(max_outer=3))
-    b = solve(problem, initial_guess=guess, workers=3, config=SolverConfig(max_outer=3))
-    np.testing.assert_array_equal(a.point.to_vector(), b.point.to_vector())
 
 
 def test_merit_gradient_with_path_bounds_matches_fd(rng):

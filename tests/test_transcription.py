@@ -367,6 +367,18 @@ def test_point_without_interface_states_is_the_continuous_trajectory(rng, segmen
     assert np.abs(grad.to_vector() - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
+def test_problem_rejects_equal_control_bounds():
+    # the log barrier has no interior on a channel with lo == hi
+    problem = _ugv_instance()
+    with pytest.raises(eoc.ParameterError, match=r"control_bounds.*\[1\]"):
+        problem.replace(control_lo=np.array([-1.0, 0.0]), control_hi=np.array([1.0, 0.0]))
+
+
+def test_path_bound_rejects_equal_bounds():
+    with pytest.raises(eoc.ParameterError, match="path bound on state 2"):
+        PathBound(2, lo=0.5, hi=0.5)
+
+
 @pytest.mark.parametrize("segments", [2, 3])
 def test_forward_pass_rejects_partial_interface_layouts(rng, segments):
     problem = _ugv_instance(M=2, segments=segments, steps=3)
