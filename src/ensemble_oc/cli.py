@@ -127,6 +127,17 @@ def _build_problem(args) -> tuple[OcProblem, str]:
     if bool(args.problem) == bool(args.problem_file):
         raise ConfigError("exactly one of --problem or --problem-file is required")
     if args.problem_file:
+        fixed = [
+            flag
+            for flag, value in (("--dt", args.dt), ("--segments", args.segments),
+                                ("--t-f", args.t_f), ("--n-nodes", args.n_nodes))
+            if value is not None
+        ]
+        if fixed:
+            raise ConfigError(
+                f"{', '.join(fixed)} cannot override a --problem-file problem; "
+                "set the grid in the file"
+            )
         problem = load_problem_file(args.problem_file)
         source = str(args.problem_file)
         if args.M is not None:

@@ -1,12 +1,15 @@
 """Exact functional gradients via backward propagation over stored states.
 
-The forward trajectory is kept in memory. Each backward step recomputes the
-Runge-Kutta stage states from the stored state and pulls the costate back
-through the stages with model vector-Jacobian products, so no dense step
-Jacobian is formed; with an analytic model VJP the sweep costs about one
-forward pass. The samples are swept in batches of a size derived from the
-state and control dimensions, so its auxiliary memory is bounded by the
-batch and does not grow with the number of time steps. On request the
+The forward trajectory is kept in memory. The sweep walks blocks of time
+steps from last to first: for each block it recomputes the Runge-Kutta stage
+states of all its steps with wide `rhs` calls over the stored states,
+linearizes the model once per stage over the block (`DynamicsModel.linearize`),
+and then runs the costate recursion step by step through the pullbacks, so
+no dense step Jacobian is formed and each step's result does not depend on
+the block length. The samples are swept in batches of a size derived from
+the state and control dimensions, and the block length from the batch, so
+the auxiliary memory is bounded by a fixed multiple of one batch and does
+not grow with the number of time steps. On request the
 sweep also records the costate at every node (`costates`), which is the
 discrete adjoint trajectory of the minimum-principle check. A central
 finite-difference fallback serves as the independent cross-check.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
-from .integrators import StepScheme, _rk_step_vjp
+from .integrators import StepScheme, _rk_linearize
 from .models import DynamicsModel
 
 # fixes the sample-batch boundaries of the sweep, and with them the order in
@@ -28,6 +31,13 @@ _BATCH_TARGET_FLOATS = 131072
 
 def samples_per_batch(n: int, m: int) -> int:
     return max(1, _BATCH_TARGET_FLOATS // (n * (n + m + 1)))
+
+
+def _steps_per_block(rows: int, n: int) -> int:
+    """Time steps linearized at once for `rows` samples of an n-state model:
+    the dense default `linearize` of a block then holds no more Jacobian
+    entries than the sample-batch target."""
+    return max(1, _BATCH_TARGET_FLOATS // (rows * n * n))
 
 
 def _seed_accessor(running_seed, n_nodes):
@@ -45,17 +55,22 @@ def _seed_accessor(running_seed, n_nodes):
 
 
 def _sweep_single_step(scheme, model, states, controls, lam, seed_at, sl, costates):
-    """Backward recursion for one-step schemes over one sample batch."""
+    """Backward recursion for one-step schemes over one sample batch, one
+    linearized block of time steps at a time, last block first."""
     n_steps = controls.shape[0]
     du = np.zeros((n_steps, model.m))
-    for j in range(n_steps - 1, -1, -1):
-        lam, lam_u = _rk_step_vjp(scheme, model, states[j][sl], controls[j], lam)
-        du[j] = lam_u.sum(axis=0)
-        seed = seed_at(j)
-        if seed is not None:
-            lam = lam + seed[sl]
-        if costates is not None:
-            costates[j, sl] = lam
+    block = _steps_per_block(lam.shape[0], model.n)
+    for end in range(n_steps, 0, -block):
+        start = max(0, end - block)
+        pull = _rk_linearize(scheme, model, states[start:end, sl], controls[start:end, None])
+        for j in range(end - 1, start - 1, -1):
+            lam, lam_u = pull(j - start, lam)
+            du[j] = lam_u.sum(axis=0)
+            seed = seed_at(j)
+            if seed is not None:
+                lam = lam + seed[sl]
+            if costates is not None:
+                costates[j, sl] = lam
     return du, lam
 
 
@@ -63,9 +78,10 @@ def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl, costa
     """Backward recursion for Adams-Bashforth maps.
 
     Each rhs value f(x_p, u_p) feeds up to s later updates, so the adjoint at
-    node p collects the weighted future costates before one model VJP;
-    startup steps integrated by the bootstrap Runge-Kutta scheme add its
-    reverse stage pass.
+    node p collects the weighted future costates before one model pullback,
+    from the model linearized once per block of stored states; startup steps
+    integrated by the bootstrap Runge-Kutta scheme add its reverse stage
+    pass, as a one-step block.
     """
     s = scheme.ab_steps
     w = scheme.weights
@@ -73,17 +89,21 @@ def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl, costa
     boot = scheme.bootstrap() if s > 1 else None
     n_steps = controls.shape[0]
     du = np.zeros((n_steps, model.m))
+    block = _steps_per_block(lam_n.shape[0], model.n)
+    start = n_steps  # first step of the linearized block
     lam_ahead = [lam_n]  # costates at nodes p+1, p+2, ...
     for p in range(n_steps - 1, -1, -1):
-        u_p = controls[p]
-        x_p = states[p][sl]
+        if p < start:
+            start = max(0, p + 1 - block)
+            pull = model.linearize(states[start : p + 1, sl], controls[start : p + 1, None])
         gather = np.zeros_like(lam_ahead[0])
         for j in range(max(p, s - 1), min(p + s - 1, n_steps - 1) + 1):
             gather += w[j - p] * lam_ahead[j - p]
         gather *= dt
-        lam_x, lam_u = model.vjp(x_p, u_p, gather)
+        lam_x, lam_u = pull(p - start, gather)
         if p <= s - 2:
-            boot_x, boot_u = _rk_step_vjp(boot, model, x_p, u_p, lam_ahead[0])
+            boot_pull = _rk_linearize(boot, model, states[p : p + 1, sl], controls[p : p + 1, None])
+            boot_x, boot_u = boot_pull(0, lam_ahead[0])
             lam_p = boot_x + lam_x
             lam_u = boot_u + lam_u
         else:

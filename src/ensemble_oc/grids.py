@@ -72,6 +72,8 @@ class ShootingPlan:
 
 def uniform_plan(t_final: float, n_segments: int, dt: float) -> ShootingPlan:
     """Plan with equal segments and a shared step size dt."""
+    if not t_final > 0:
+        raise ParameterError(f"need t_final > 0, got {t_final}")
     if n_segments < 1:
         raise ParameterError(f"need n_segments >= 1, got {n_segments}")
     if dt <= 0:

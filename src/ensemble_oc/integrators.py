@@ -1,10 +1,12 @@
 """Fixed-step explicit one-step maps and their exact derivatives.
 
 Every scheme realizes a discrete map x_{j+1} = Q(x_j, u_j) with the control
-held constant over the step. Backward sweeps differentiate a Runge-Kutta
-step in reverse mode: the stage states are recomputed and the stages are
-walked backward through the transposed tableau with one model
-vector-Jacobian product each, so no dense step Jacobian is formed. The dense
+held constant over the step. Backward sweeps differentiate Runge-Kutta
+steps in reverse mode, a block of steps at a time: the stage states of the
+block are recomputed with wide `rhs` calls, each stage is linearized once
+over the block with the model's `linearize`, and each step then walks its
+stages backward through the transposed tableau with one pullback per
+stage, so no dense step Jacobian is formed. The dense
 step Jacobians dQ/dx and dQ/du, assembled by chaining the model Jacobians
 through the stages, stay available in `step_jacobians` as an independent
 reference. Adams-Bashforth schemes combine the latest rhs evaluations with
@@ -201,13 +203,17 @@ def step_jacobians(scheme: StepScheme, model: DynamicsModel, x, u):
     return a_mat, b_mat
 
 
-def _rk_step_vjp(scheme: StepScheme, model: DynamicsModel, x, u, lam):
-    """Reverse pass of one Runge-Kutta step: (lam . dQ/dx, lam . dQ/du).
+def _rk_linearize(scheme: StepScheme, model: DynamicsModel, x, u):
+    """Reverse pass of a block of Runge-Kutta steps, linearized once.
 
-    The stage states of the forward step are recomputed with `rhs`, then the
-    stages are walked backward through the transposed Butcher tableau with
-    one model VJP per stage (Sandu 2006, "On the properties of Runge-Kutta
-    discrete adjoints"). Rows stay per sample: shapes (..., n) and (..., m).
+    x: (B, rows, n) stored states of B consecutive steps, u: (B, 1, m) their
+    control rows. The stage states of all B steps are recomputed with s - 1
+    wide `rhs` calls and each stage is linearized once over the block with
+    the model's `linearize`.
+    The returned pull(j, lam) -> (lam . dQ/dx, lam . dQ/du) of block step j
+    walks the stages backward through the transposed Butcher tableau (Sandu
+    2006, "On the properties of Runge-Kutta discrete adjoints"), so it is
+    linear in lam. Rows stay per sample: shapes (rows, n) and (rows, m).
     The caller guarantees a one-step scheme with a bound step size.
     """
     a, b, _ = _tableau(scheme)
@@ -223,18 +229,25 @@ def _rk_step_vjp(scheme: StepScheme, model: DynamicsModel, x, u, lam):
         points.append(xi)
         if i < n_stages - 1:
             stages.append(model.rhs(xi, u))
+    pulls = [model.linearize(xi, u) for xi in points]
+    # stage i's weight in the update and its (later stage, weight) inputs
+    out_w = [dt * b[i] for i in range(n_stages)]
+    feeds = [[(k, dt * a[k, i]) for k in range(i + 1, n_stages) if a[k, i] != 0.0]
+             for i in range(n_stages)]
 
-    point_bars = [None] * n_stages
-    lam_x, lam_u = lam, 0.0
-    for i in range(n_stages - 1, -1, -1):
-        stage_bar = (dt * b[i]) * lam
-        for k in range(i + 1, n_stages):
-            if a[k, i] != 0.0:
-                stage_bar = stage_bar + (dt * a[k, i]) * point_bars[k]
-        point_bars[i], u_bar = model.vjp(points[i], u, stage_bar)
-        lam_x = lam_x + point_bars[i]
-        lam_u = lam_u + u_bar
-    return lam_x, lam_u
+    def pull(j, lam):
+        point_bars = [None] * n_stages
+        lam_x, lam_u = lam, 0.0
+        for i in range(n_stages - 1, -1, -1):
+            stage_bar = out_w[i] * lam
+            for k, w in feeds[i]:
+                stage_bar = stage_bar + w * point_bars[k]
+            point_bars[i], u_bar = pulls[i](j, stage_bar)
+            lam_x = lam_x + point_bars[i]
+            lam_u = lam_u + u_bar
+        return lam_x, lam_u
+
+    return pull
 
 
 def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls):
@@ -274,6 +287,22 @@ def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls):
         yield x
 
 
+def _segment_inputs(model: DynamicsModel, x0, controls):
+    """x0 as an (M, n) float ensemble and the float control rows of one
+    segment, after the segment's shape checks."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    controls = np.asarray(controls, dtype=float)
+    if controls.ndim not in (2, 3):
+        raise ShapeMismatchError(f"controls must be (N, m) or (N, M, m), got {controls.shape}")
+    if controls.shape[-1] != model.m:
+        raise ShapeMismatchError(
+            f"control dimension {controls.shape[-1]} != model.m = {model.m}"
+        )
+    if controls.ndim == 3 and controls.shape[1] != x0.shape[0]:
+        raise ShapeMismatchError("per-sample controls do not match the ensemble size")
+    return x0, controls
+
+
 def propagate_segment(
     scheme: StepScheme,
     model: DynamicsModel,
@@ -286,16 +315,7 @@ def propagate_segment(
     or (N, M, m) per-sample rows. Returns the (N + 1, M, n) stack of states
     including x0; all samples advance simultaneously in lock step.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim not in (2, 3):
-        raise ShapeMismatchError(f"controls must be (N, m) or (N, M, m), got {controls.shape}")
-    if controls.shape[-1] != model.m:
-        raise ShapeMismatchError(
-            f"control dimension {controls.shape[-1]} != model.m = {model.m}"
-        )
-    if controls.ndim == 3 and controls.shape[1] != x0.shape[0]:
-        raise ShapeMismatchError("per-sample controls do not match the ensemble size")
+    x0, controls = _segment_inputs(model, x0, controls)
     out = np.empty((controls.shape[0] + 1,) + x0.shape)
     out[0] = x0
     for j, x in enumerate(_march(scheme, model, x0, controls), 1):

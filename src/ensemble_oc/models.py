@@ -4,10 +4,14 @@ All models evaluate batch-wise: states have shape (..., n) with the leading
 axes ranging over samples, controls have shape (..., m) broadcastable against
 the state batch (typically (m,) shared across samples or (M, m) per sample).
 rhs returns (..., n), jac_x returns (..., n, n) and jac_u returns (..., n, m).
-vjp(x, u, lam) returns the row-vector products (lam . f_x, lam . f_u) with
-shapes (..., n) and (..., m); the backward sweeps use it instead of the dense
-Jacobians. Models are stateless after construction and safe to call
-concurrently.
+linearize(x, u) takes a block of points with a leading block axis, x of
+shape (B, rows, n) and u broadcastable against it (the sweep passes the
+block's control rows as (B, 1, m)), computes everything that depends only on
+(x, u) once with wide calls over the block, and returns pull(j, lam) ->
+(lam . f_x, lam . f_u), the row-vector products at block row j with shapes
+(rows, n) and (rows, m). The backward sweeps use it instead of the dense
+Jacobians; vjp(x, u, lam) is linearize at a single point. Models are
+stateless after construction and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -22,18 +26,32 @@ def _batch_shape(x: np.ndarray, u: np.ndarray) -> tuple:
     return np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
 
 
-def _first_bad_sample(mask: np.ndarray):
-    """Index of the first True along the leading axis, None for 0-d masks."""
-    mask = np.atleast_1d(mask)
+def _first_bad_sample(mask: np.ndarray, block: bool = False):
+    """Index of the first True along the sample axis, None for 0-d masks.
+
+    The sample axis is the leading one, or axis 1 of a `linearize` block,
+    whose leading axis is the block row.
+    """
+    mask = np.atleast_1d(mask.any(axis=0) if block else mask)
     idx = np.flatnonzero(mask.reshape(mask.shape[0], -1).any(axis=1))
     return int(idx[0]) if idx.size else None
 
 
-class DynamicsModel:
-    """Interface shared by every model: n, m, name, rhs, jac_x, jac_u, vjp.
+def _pull_batch(rows: tuple, lam: np.ndarray) -> tuple:
+    """Batch shape of a pullback's output: a block row's shape broadcast with
+    the costate rows' (equal in the sweeps, where broadcasting is skipped)."""
+    batch = lam.shape[:-1]
+    return batch if batch == rows else np.broadcast_shapes(rows, batch)
 
-    A model needs only rhs, jac_x and jac_u; vjp defaults to contracting the
-    dense Jacobians and is an optional speed override.
+
+class DynamicsModel:
+    """Interface shared by every model: n, m, name, rhs, jac_x, jac_u,
+    linearize and vjp.
+
+    A model needs only rhs, jac_x and jac_u. linearize defaults to the dense
+    Jacobians of the block and is the optional speed override; vjp is
+    linearize at one point, and an override of vjp is not consulted by the
+    sweeps.
     """
 
     n: int
@@ -50,10 +68,23 @@ class DynamicsModel:
     def jac_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def linearize(self, x: np.ndarray, u: np.ndarray):
+        """pull(j, lam) -> (lam . f_x, lam . f_u) at row j of the block (x, u).
+
+        The default forms jac_x and jac_u once over the block and contracts
+        lam with row j's Jacobians.
+        """
+        jac_x, jac_u = self.jac_x(x, u), self.jac_u(x, u)
+
+        def pull(j, lam):
+            lam = np.asarray(lam, dtype=float)[..., None, :]
+            return (lam @ jac_x[j])[..., 0, :], (lam @ jac_u[j])[..., 0, :]
+
+        return pull
+
     def vjp(self, x: np.ndarray, u: np.ndarray, lam: np.ndarray):
         """(lam . f_x, lam . f_u) with shapes (..., n) and (..., m)."""
-        lam = np.asarray(lam, dtype=float)[..., None, :]
-        return (lam @ self.jac_x(x, u))[..., 0, :], (lam @ self.jac_u(x, u))[..., 0, :]
+        return self.linearize(np.asarray(x, float)[None], np.asarray(u, float)[None])(0, lam)
 
     def _check_dims(self, x: np.ndarray, u: np.ndarray):
         if x.shape[-1] != self.n:
@@ -128,23 +159,32 @@ class UgvDifferentialDrive(DynamicsModel):
         jac[..., 2, 1] = r
         return jac
 
-    def vjp(self, x, u, lam):
+    def linearize(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        lam = np.asarray(lam, dtype=float)
         self._check_dims(x, u)
         r = self._radius(x)
         c3, s3 = np.cos(x[..., 2]), np.sin(x[..., 2])
-        batch = np.broadcast_shapes(_batch_shape(x, u), lam.shape[:-1])
-        along = lam[..., 0] * c3 + lam[..., 1] * s3  # lam . (cos x3, sin x3)
-        lam_x = np.zeros(batch + (self.n,))
-        lam_x[..., 2] = r * u[..., 0] * (lam[..., 1] * c3 - lam[..., 0] * s3)
-        if self.random_radius:
-            lam_x[..., 3] = u[..., 0] * along + u[..., 1] * lam[..., 2]
-        lam_u = np.empty(batch + (self.m,))
-        lam_u[..., 0] = r * along
-        lam_u[..., 1] = r * lam[..., 2]
-        return lam_x, lam_u
+        u0, u1 = u[..., 0], u[..., 1]
+        ru0 = r * u0
+        rows = _batch_shape(x, u)[1:]
+
+        def pull(j, lam):
+            lam = np.asarray(lam, dtype=float)
+            c, s = c3[j], s3[j]
+            rj = r[j] if self.random_radius else r
+            batch = _pull_batch(rows, lam)
+            along = lam[..., 0] * c + lam[..., 1] * s  # lam . (cos x3, sin x3)
+            lam_x = np.zeros(batch + (self.n,))
+            lam_x[..., 2] = ru0[j] * (lam[..., 1] * c - lam[..., 0] * s)
+            if self.random_radius:
+                lam_x[..., 3] = u0[j] * along + u1[j] * lam[..., 2]
+            lam_u = np.empty(batch + (self.m,))
+            lam_u[..., 0] = rj * along
+            lam_u[..., 1] = rj * lam[..., 2]
+            return lam_x, lam_u
+
+        return pull
 
 
 class UgvBicycle(DynamicsModel):
@@ -163,12 +203,12 @@ class UgvBicycle(DynamicsModel):
         self.wheelbase = float(wheelbase)
         self.name = "ugv_bicycle"
 
-    def _check_steering(self, u):
+    def _check_steering(self, u, block=False):
         bad = np.abs(u[..., 1]) >= np.pi / 2
         if np.any(bad):
             raise DomainError(
                 "steering angle |u2| must stay below pi/2",
-                sample_index=_first_bad_sample(bad) if u.ndim > 1 else None,
+                sample_index=_first_bad_sample(bad, block) if u.ndim > 1 + block else None,
             )
 
     def rhs(self, x, u):
@@ -204,22 +244,31 @@ class UgvBicycle(DynamicsModel):
         jac[..., 2, 1] = u[..., 0] / (self.wheelbase * np.cos(u[..., 1]) ** 2)
         return jac
 
-    def vjp(self, x, u, lam):
+    def linearize(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        lam = np.asarray(lam, dtype=float)
         self._check_dims(x, u)
-        self._check_steering(u)
+        self._check_steering(u, block=True)
         c3, s3 = np.cos(x[..., 2]), np.sin(x[..., 2])
-        batch = np.broadcast_shapes(_batch_shape(x, u), lam.shape[:-1])
-        lam_x = np.zeros(batch + (self.n,))
-        lam_x[..., 2] = u[..., 0] * (lam[..., 1] * c3 - lam[..., 0] * s3)
-        lam_u = np.empty(batch + (self.m,))
-        lam_u[..., 0] = (
-            lam[..., 0] * c3 + lam[..., 1] * s3 + lam[..., 2] * np.tan(u[..., 1]) / self.wheelbase
-        )
-        lam_u[..., 1] = lam[..., 2] * u[..., 0] / (self.wheelbase * np.cos(u[..., 1]) ** 2)
-        return lam_x, lam_u
+        u0 = u[..., 0]
+        tan_u1 = np.tan(u[..., 1])
+        steer_scale = self.wheelbase * np.cos(u[..., 1]) ** 2
+        rows = _batch_shape(x, u)[1:]
+
+        def pull(j, lam):
+            lam = np.asarray(lam, dtype=float)
+            c, s = c3[j], s3[j]
+            batch = _pull_batch(rows, lam)
+            lam_x = np.zeros(batch + (self.n,))
+            lam_x[..., 2] = u0[j] * (lam[..., 1] * c - lam[..., 0] * s)
+            lam_u = np.empty(batch + (self.m,))
+            lam_u[..., 0] = (
+                lam[..., 0] * c + lam[..., 1] * s + lam[..., 2] * tan_u1[j] / self.wheelbase
+            )
+            lam_u[..., 1] = lam[..., 2] * u0[j] / steer_scale[j]
+            return lam_x, lam_u
+
+        return pull
 
 
 class FixedWingUav(DynamicsModel):
@@ -278,17 +327,17 @@ class FixedWingUav(DynamicsModel):
     def __init__(self):
         self.name = "fixed_wing_uav"
 
-    def _check_singular(self, x):
+    def _check_singular(self, x, block=False):
         bad_v = x[..., 3] <= 0.0
         if np.any(bad_v):
             raise DomainError(
-                "speed must be positive", sample_index=_first_bad_sample(bad_v)
+                "speed must be positive", sample_index=_first_bad_sample(bad_v, block)
             )
         bad_g = np.abs(x[..., 4]) >= np.pi / 2
         if np.any(bad_g):
             raise DomainError(
                 "elevation |gamma| must stay below pi/2",
-                sample_index=_first_bad_sample(bad_g),
+                sample_index=_first_bad_sample(bad_g, block),
             )
 
     def _aero(self, x):
@@ -324,11 +373,9 @@ class FixedWingUav(DynamicsModel):
         out[..., 8] = u[..., 2]
         return out
 
-    def jac_x(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        self._check_dims(x, u)
-        self._check_singular(x)
+    def _state_rows(self, x):
+        """Rows 0-5 of jac_x, shape (..., 6, n): the only rows that depend on
+        the state. The rate rows 6-8 are zero, as f_u is a fixed selector."""
         v, gam, sig = x[..., 3], x[..., 4], x[..., 5]
         thrust, alpha, mu = x[..., 6], x[..., 7], x[..., 8]
         q, cl, cd, cx, cz, sa, ca = self._aero(x)
@@ -346,7 +393,7 @@ class FixedWingUav(DynamicsModel):
         w = lift + thrust * sa
         mass, g = self.mass, self.gravity
 
-        jac = np.zeros(_batch_shape(x, u) + (self.n, self.n))
+        jac = np.zeros(x.shape[:-1] + (6, self.n))
         jac[..., 0, 3] = cg * cs
         jac[..., 0, 4] = -v * sg * cs
         jac[..., 0, 5] = -v * cg * ss
@@ -384,6 +431,31 @@ class FixedWingUav(DynamicsModel):
             sm[..., None] * q[..., None] * dcl_dc / (mass * (v * cg)[..., None])
         )
         return jac
+
+    def jac_x(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        self._check_dims(x, u)
+        self._check_singular(x)
+        jac = np.zeros(_batch_shape(x, u) + (self.n, self.n))
+        jac[..., :6, :] = self._state_rows(x)
+        return jac
+
+    def linearize(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        self._check_dims(x, u)
+        self._check_singular(x, block=True)
+        rows = self._state_rows(x)
+        block_rows = _batch_shape(x, u)[1:]
+
+        def pull(j, lam):
+            lam = np.asarray(lam, dtype=float)
+            lam_x = (lam[..., None, :6] @ rows[j])[..., 0, :]
+            lam_u = np.broadcast_to(lam[..., 6:9], _pull_batch(block_rows, lam) + (3,))
+            return lam_x, lam_u.copy()
+
+        return pull
 
     def jac_u(self, x, u):
         x = np.asarray(x, dtype=float)
@@ -481,15 +553,19 @@ class ChebyshevReactionDiffusion(DynamicsModel):
         jac[..., :, 0] = self.indicator
         return jac
 
-    def vjp(self, x, u, lam):
+    def linearize(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        lam = np.asarray(lam, dtype=float)
         self._check_dims(x, u)
         ops = self.operators
         d1psi = x @ ops.d1.T
         expf = np.exp(-x / self.decay_scale)
         diag = d1psi + self.reaction * expf * (1.0 - x / self.decay_scale)
-        lam_x = (lam * x) @ ops.d1 + self.diffusion * (lam @ ops.d2) + lam * diag
-        lam_u = (lam @ self.indicator)[..., None]
-        return lam_x, lam_u
+
+        def pull(j, lam):
+            lam = np.asarray(lam, dtype=float)
+            lam_x = (lam * x[j]) @ ops.d1 + self.diffusion * (lam @ ops.d2) + lam * diag[j]
+            lam_u = (lam @ self.indicator)[..., None]
+            return lam_x, lam_u
+
+        return pull

@@ -4,7 +4,9 @@ The decision vector couples the piecewise-constant control values with the
 per-sample states at interior segment interfaces. Segment 1 always starts
 from the fixed seeded ensemble; continuity across interfaces is enforced
 through a single aggregated sum-of-squares residual. Objective, continuity
-and ensemble-mean path quantities all share one forward pass. Their
+and ensemble-mean path quantities all share one forward pass; an objective
+value asked for without a stored trajectory marches the segments and reduces
+the running cost as it goes, so it keeps none. Their
 gradients come from one seed assembler, `merit_gradient`, and one backward
 sweep per segment (`sweep_gradient`). A point without interface states is
 the continuous (single-shooting) trajectory: each segment starts where the
@@ -21,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
-from .gradients import backward_gradient
+from .gradients import _steps_per_block, backward_gradient
 from .grids import ControlSchedule, ShootingPlan
-from .integrators import StepScheme, _march, propagate_segment
+from .integrators import StepScheme, _march, _segment_inputs, propagate_segment
 from .models import DynamicsModel
 from .sampling import RandomInputSpec, sample_initial_ensemble
 
@@ -238,15 +240,19 @@ def _shoot(problem: OcProblem, controls, starts) -> list[np.ndarray]:
     return segs
 
 
-def forward_pass(problem: OcProblem, point: NlpPoint) -> list[np.ndarray]:
-    """Propagate every segment: from the point's own interface states, or,
-    for a point without them, continuously from the end of the one before."""
+def _check_layout(problem: OcProblem, point: NlpPoint):
     n_seg = problem.n_segments
     if len(point.controls) != n_seg or len(point.interface_states) not in (0, n_seg - 1):
         raise ShapeMismatchError(
             f"point with {len(point.controls)} control blocks and {len(point.interface_states)} "
             f"interface states does not match {n_seg} segments ({n_seg - 1} or 0 states)"
         )
+
+
+def forward_pass(problem: OcProblem, point: NlpPoint) -> list[np.ndarray]:
+    """Propagate every segment: from the point's own interface states, or,
+    for a point without them, continuously from the end of the one before."""
+    _check_layout(problem, point)
     return _shoot(problem, point.controls, point.interface_states)
 
 
@@ -260,15 +266,63 @@ def control_energy_value(problem: OcProblem, point: NlpPoint) -> float:
     return total
 
 
+def _marched_costs(problem: OcProblem, point: NlpPoint):
+    """(final ensemble, per-segment node means of the running cost) from
+    marching the segments as `forward_pass` would, keeping no trajectory.
+
+    The running cost is reduced one time block of nodes at a time: each
+    node's mean over the samples lands in a per-segment array, as the stored
+    stack would give it. The node means are None without a running cost.
+    """
+    _check_layout(problem, point)
+    cost, model = problem.cost, problem.model
+    running = cost.has_running
+    block = _steps_per_block(problem.M, model.n)
+    x = initial_ensemble(problem)
+    node_means = []
+    for k, u in enumerate(point.controls):
+        if k > 0 and point.interface_states:
+            x = point.interface_states[k - 1]
+        x, u = _segment_inputs(model, x, u)
+        march = _march(problem.segment_scheme(k), model, x, u)
+        if not running:
+            for x in march:
+                pass
+            node_means.append(None)
+            continue
+        n_steps = u.shape[0]
+        means = np.empty(n_steps)
+        nodes = np.empty((min(block, n_steps),) + x.shape)
+        for first in range(0, n_steps, block):
+            count = min(block, n_steps - first)
+            for i in range(count):
+                nodes[i] = x
+                x = next(march)
+            means[first : first + count] = cost.running_value(nodes[:count]).mean(axis=1)
+        node_means.append(means)
+    return x, node_means
+
+
 def evaluate_objective(problem: OcProblem, point: NlpPoint, segs=None) -> float:
-    """Monte Carlo cost estimate at the given decision point."""
-    if segs is None:
-        segs = forward_pass(problem, point)
+    """Monte Carlo cost estimate at the given decision point.
+
+    With the stored trajectory `segs` the cost is read from it; without, the
+    segments are marched and reduced as they go, so no trajectory is kept.
+    """
     cost = problem.cost
-    value = float(cost.terminal_value(segs[-1][-1]).mean())
-    if cost.has_running:
-        for seg, states in zip(problem.plan.segments, segs):
-            value += seg.dt * float(cost.running_value(states[:-1]).mean(axis=1).sum())
+    if segs is None:
+        final, node_means = _marched_costs(problem, point)
+    else:
+        running = cost.has_running
+        final = segs[-1][-1]
+        node_means = [
+            cost.running_value(states[:-1]).mean(axis=1) if running else None
+            for states in segs
+        ]
+    value = float(cost.terminal_value(final).mean())
+    for seg, means in zip(problem.plan.segments, node_means):
+        if means is not None:
+            value += seg.dt * float(means.sum())
     return value + control_energy_value(problem, point)
 
 
@@ -436,6 +490,7 @@ def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoi
             f"{len(point.controls)} and {len(point.interface_states)}"
         )
     cost, M, n = problem.cost, problem.M, problem.model.n
+    has_running = cost.has_running
 
     def fd_steps(v):
         return np.full(v.size, h) if h is not None else 1e-6 * (1.0 + np.abs(v.ravel()))
@@ -471,7 +526,7 @@ def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoi
         running = np.zeros(n_rows)
         rows_at = (control_rows(j) for j in range(base_u.shape[0]))
         for x in _march(problem.segment_scheme(k), problem.model, state, rows_at):
-            if cost.has_running:
+            if has_running:
                 running += seg.dt * cost.running_value(state)
             state = x
         value = cost.terminal_value(state) + running if k == last else running

@@ -189,7 +189,7 @@ def test_exactly_one_problem_source(capsys, tmp_path):
     (("--problem", "ugv-stochastic", "--M", "0"), "sample count"),
     (("--problem", "ugv-stochastic", "--segments", "0"), "n_segments"),
     (("--problem", "ugv-stochastic", "--dt", "0"), "dt > 0"),
-    (("--problem", "ugv-stochastic", "--t-f", "0"), "length 0.0"),
+    (("--problem", "ugv-stochastic", "--t-f", "0"), "need t_final > 0"),
     (("--problem", "pde-stochastic", "--n-nodes", "0"), "inner nodes"),
 ], ids=["M", "segments", "dt", "t-f", "n-nodes"])
 def test_zero_override_is_an_error(override, message, tmp_path, capsys):
@@ -206,6 +206,29 @@ def test_problem_file_zero_override_is_an_error(tmp_path, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 1
     assert "sample count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    ("--dt", "0.1"), ("--segments", "5"), ("--t-f", "4.0"), ("--n-nodes", "8"),
+], ids=["dt", "segments", "t-f", "n-nodes"])
+def test_problem_file_rejects_grid_overrides(override, tmp_path, capsys):
+    # the file fixes the grid: an override it would drop is an error, not a no-op
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_ugv_file_doc()))
+    code = run_cli("propagate", "--problem-file", str(path), *override,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and override[0] in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_horizon_is_an_error(tmp_path, capsys):
+    code = run_cli("propagate", "--problem", "ugv-stochastic", "--t-f", "-2",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: need t_final > 0, got -2.0"]
 
 
 def test_library_error_is_one_line_with_exit_code_1(tmp_path, capsys):

@@ -264,3 +264,27 @@ def test_costates_output_independent_of_batching(kind, rng, monkeypatch):
         outputs.append(costates)
     for other in outputs[1:]:
         np.testing.assert_array_equal(other, outputs[0])
+
+
+@pytest.mark.parametrize("kind", ["euler", "rk3", "rk4", "ab2"])
+@pytest.mark.parametrize("name", ["ugv", "uav", "chebyshev"])
+def test_sweep_independent_of_time_blocks(name, kind, rng, monkeypatch):
+    # each step's pullback reads only its own block row, so dU, dX0 and the
+    # costates are bit-equal for any block length
+    model, dt, x0, controls = _sweep_case(name, rng)
+    scheme = StepScheme(kind, dt)
+    states = propagate_segment(scheme, model, x0, controls)
+    seed = rng.standard_normal(x0.shape)
+    running = 0.1 * rng.standard_normal(states.shape)
+    _force_batch(monkeypatch, model, 3)  # batches of 3, 3 and 1 samples
+    outputs = []
+    for block in (1, 3, controls.shape[0]):
+        monkeypatch.setattr(gradients, "_steps_per_block", lambda rows, n, b=block: b)
+        costates = np.full_like(states, np.nan)
+        g_u, g_x = backward_gradient(
+            scheme, model, states, controls, seed, running_seed=running, costates=costates
+        )
+        outputs.append((g_u, g_x, costates))
+    for other in outputs[1:]:
+        for got, want in zip(other, outputs[0]):
+            np.testing.assert_array_equal(got, want)

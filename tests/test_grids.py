@@ -114,3 +114,10 @@ def test_control_schedule_roundtrip():
     sched = ControlSchedule.from_stacked(plan, stacked)
     np.testing.assert_array_equal(sched.stacked(), stacked)
     assert sched.m == 2
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1.0])
+def test_uniform_plan_rejects_empty_horizon(t_final):
+    # the horizon is at fault, not the step size that cannot divide it
+    with pytest.raises(ParameterError, match=r"need t_final > 0"):
+        uniform_plan(t_final, 2, 0.05)

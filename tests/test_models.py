@@ -226,14 +226,30 @@ def _assert_rel_close(actual, reference, rtol=1e-12):
 
 @pytest.mark.parametrize("name", sorted(_VJP_MODELS))
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 6), shared=st.booleans())
-def test_vjp_matches_transposed_jacobians(name, seed, n_samples, shared):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(1, 6),
+    shared=st.booleans(),
+    n_rows=st.integers(1, 4),
+)
+def test_vjp_matches_transposed_jacobians(name, seed, n_samples, shared, n_rows):
     model = _VJP_MODELS[name]()
     rng = np.random.Generator(np.random.Philox(seed))
     x, u, lam = _vjp_inputs(model, rng, n_samples, shared)
     lam_x, lam_u = model.vjp(x, u, lam)
     _assert_rel_close(lam_x, np.einsum("mr,mrc->mc", lam, model.jac_x(x, u)))
     _assert_rel_close(lam_u, np.einsum("mr,mrc->mc", lam, model.jac_u(x, u)))
+
+    # linearize over a (B, rows) block: shared controls as the sweep passes
+    # them, (B, 1, m), per-sample ones as (B, rows, m)
+    rows = [_vjp_inputs(model, rng, n_samples, shared) for _ in range(n_rows)]
+    xb = np.stack([r[0] for r in rows])
+    ub = np.stack([r[1] for r in rows])
+    pull = model.linearize(xb, ub[:, None, :] if shared else ub)
+    for j, (xj, uj, lamj) in enumerate(rows):
+        lam_x, lam_u = pull(j, lamj)
+        _assert_rel_close(lam_x, np.einsum("mr,mrc->mc", lamj, model.jac_x(xj, uj)))
+        _assert_rel_close(lam_u, np.einsum("mr,mrc->mc", lamj, model.jac_u(xj, uj)))
 
 
 def test_uav_vjp_raises_like_jacobian(rng):
@@ -247,3 +263,29 @@ def test_uav_vjp_raises_like_jacobian(rng):
         model.vjp(x, u, np.ones_like(x))
     assert str(vjp_err.value) == str(jac_err.value)
     assert vjp_err.value.sample_index == jac_err.value.sample_index == 2
+
+    # in a block the bad state sits in row 1; the error names its sample
+    good = np.stack([random_uav_state(rng) for _ in range(4)])
+    with pytest.raises(DomainError) as block_err:
+        model.linearize(np.stack([good, x, good]), np.zeros((3, 1, 3)))
+    assert str(block_err.value) == str(jac_err.value)
+    assert block_err.value.sample_index == 2
+
+    x[2, 4] = 0.0
+    x[3, 3] = 0.0  # a speed of zero
+    with pytest.raises(DomainError) as jac_err:
+        model.jac_x(x, u)
+    with pytest.raises(DomainError) as block_err:
+        model.linearize(np.stack([good, x]), np.zeros((2, 1, 3)))
+    assert str(block_err.value) == str(jac_err.value)
+    assert block_err.value.sample_index == jac_err.value.sample_index == 3
+
+
+def test_bicycle_linearize_names_sample_of_bad_steering(rng):
+    model = UgvBicycle()
+    x = rng.uniform(-1, 1, (2, 3, 3))
+    u = rng.uniform(-0.5, 0.5, (2, 3, 2))
+    u[1, 2, 1] = 1.8
+    with pytest.raises(DomainError) as err:
+        model.linearize(x, u)
+    assert err.value.sample_index == 2

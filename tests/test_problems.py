@@ -157,3 +157,8 @@ def test_seed_and_dt_overrides():
     a = eoc.initial_ensemble(p)
     b = eoc.initial_ensemble(build("ugv-stochastic", M=16, seed=99, dt=0.1, segments=1))
     np.testing.assert_array_equal(a, b)
+
+
+def test_zero_horizon_names_the_horizon():
+    with pytest.raises(eoc.ParameterError, match=r"need t_final > 0, got 0.0"):
+        build("ugv-stochastic", t_f=0.0)

@@ -394,3 +394,40 @@ def test_fd_gradient_needs_interface_states(rng):
     point = _random_point(problem, rng)
     with pytest.raises(eoc.ShapeMismatchError, match="start states"):
         tr.fd_objective_gradient(problem, NlpPoint(point.controls, ()))
+
+
+@pytest.mark.parametrize("kind", ["rk4", "ab2"])
+@pytest.mark.parametrize("layout", ["interfaces", "continuous"])
+@pytest.mark.parametrize("running", [False, True], ids=["terminal", "running"])
+def test_marched_objective_equals_stored_stack(rng, monkeypatch, kind, layout, running):
+    # the value-only objective keeps no trajectory; blocks of 3 nodes leave a
+    # remainder in each 5-step segment
+    problem = _ugv_instance(M=4, segments=2, steps=5).replace(scheme=StepScheme(kind))
+    if running:
+        problem = _running_cost(problem)
+    point = _random_point(problem, rng)
+    if layout == "continuous":
+        point = NlpPoint(point.controls, ())
+    stored = tr.evaluate_objective(problem, point, tr.forward_pass(problem, point))
+    for block in (None, 3):
+        if block is not None:
+            monkeypatch.setattr(
+                eoc.gradients, "_BATCH_TARGET_FLOATS", block * problem.M * problem.model.n ** 2
+            )
+        assert tr.evaluate_objective(problem, point) == stored
+
+
+def test_marched_objective_memory_flat_in_steps(rng):
+    def peak(steps):
+        problem = _running_cost(_ugv_instance(M=2000, segments=1, steps=steps))
+        point = NlpPoint((rng.uniform(-0.9, 0.9, (steps, 2)),), ())
+        tr.evaluate_objective(problem, point)
+        tracemalloc.start()
+        try:
+            tr.evaluate_objective(problem, point)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(100), peak(400)
+    assert long <= 1.1 * short
