@@ -25,7 +25,7 @@ from .grids import (
     uniform_plan,
 )
 from .gradients import backward_gradient, fd_gradient
-from .integrators import StepScheme, propagate_segment, step, step_jacobians
+from .integrators import StepScheme, propagate_segment, step_jacobians
 from .models import (
     ChebyshevReactionDiffusion,
     DynamicsModel,

@@ -27,7 +27,9 @@ from .models import (
     UgvDifferentialDrive,
 )
 from .pontryagin import verify
-from .sampling import Dirac, Normal, RandomInputSpec, SphericalShell, Uniform
+from .sampling import (
+    Dirac, Normal, RandomInputSpec, SphericalShell, Uniform, _seeded_generator,
+)
 from .solver import SolveStatus, SolverConfig, solve
 from .transcription import CostSpec, OcProblem, PathBound
 
@@ -167,6 +169,19 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**kw)
 
 
+def _read_controls(path, plan):
+    """The --controls schedule; I/O and shape errors are named apart."""
+    try:
+        return reporting.read_controls_csv(path, plan)
+    except OSError as err:
+        raise ConfigError(f"cannot read controls file {path}: {err}") from err
+    except Exception as err:
+        raise ConfigError(
+            f"controls file does not match the plan "
+            f"(expected {plan.total_steps} rows): {err}"
+        ) from err
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,9 +190,10 @@ def _outdir(args) -> Path:
 
 def cmd_solve(args) -> int:
     problem, source = _build_problem(args)
+    config = _solver_config(args)
     out = _outdir(args)
     log_lines = []
-    report = solve(problem, config=_solver_config(args), log=log_lines.append)
+    report = solve(problem, config=config, log=log_lines.append)
     schedule = report.point.schedule(problem.plan)
     reporting.write_controls_csv(out / "controls.csv", problem.plan, schedule)
     segs = tr.forward_pass(problem, report.point)
@@ -194,14 +210,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     problem, _ = _build_problem(args)
+    schedule = _read_controls(args.controls, problem.plan)
     out = _outdir(args)
-    try:
-        schedule = reporting.read_controls_csv(args.controls, problem.plan)
-    except Exception as err:
-        raise ConfigError(
-            f"controls file does not match the plan "
-            f"(expected {problem.plan.total_steps} rows): {err}"
-        ) from err
     report = verify(problem, schedule, M_verify=args.M, seed=args.seed)
     report.to_csv(out / "pmp_report.csv")
     with open(out / "pmp_summary.json", "w") as fh:
@@ -216,12 +226,9 @@ def cmd_verify(args) -> int:
 
 def cmd_propagate(args) -> int:
     problem, _ = _build_problem(args)
+    schedule = _read_controls(args.controls, problem.plan) if args.controls else None
     out = _outdir(args)
-    if args.controls:
-        schedule = reporting.read_controls_csv(args.controls, problem.plan)
-        point = tr.default_start(problem, schedule)
-    else:
-        point = tr.default_start(problem)
+    point = tr.default_start(problem, schedule)
     segs = tr.forward_pass(problem, point)
     reporting.write_ensemble_stats_csv(out / "ensemble_stats.csv", problem.plan, segs)
     value = tr.evaluate_objective(problem, point, segs)
@@ -232,7 +239,7 @@ def cmd_propagate(args) -> int:
 def cmd_gradcheck(args) -> int:
     problem, _ = _build_problem(args)
     out = _outdir(args)
-    rng = np.random.Generator(np.random.Philox(problem.seed))
+    rng = _seeded_generator(problem.seed)
     lo = np.where(np.isfinite(problem.control_lo), problem.control_lo, -1.0)
     hi = np.where(np.isfinite(problem.control_hi), problem.control_hi, 1.0)
     blocks = tuple(

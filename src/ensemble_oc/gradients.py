@@ -1,15 +1,15 @@
 """Exact functional gradients via backward propagation over stored states.
 
-The forward trajectory is kept in memory. The sweep walks blocks of time
-steps from last to first: for each block it recomputes the Runge-Kutta stage
-states of all its steps with wide `rhs` calls over the stored states,
-linearizes the model once per stage over the block (`DynamicsModel.linearize`),
-and then runs the costate recursion step by step through the pullbacks, so
-no dense step Jacobian is formed and each step's result does not depend on
-the block length. The samples are swept in batches of a size derived from
-the state and control dimensions, and the block length from the batch, so
-the auxiliary memory is bounded by a fixed multiple of one batch and does
-not grow with the number of time steps. On request the
+The forward trajectory is kept in memory. One backward step loop serves
+every scheme: it walks blocks of time steps from last to first, has
+`integrators._linearize_steps` linearize each block once over its stored
+states (`DynamicsModel.linearize`), and then runs the costate recursion step
+by step through the block's pullback, handing each step the costates of the
+nodes after it. So no dense step Jacobian is formed and each step's result
+does not depend on the block length. The samples are swept in batches of a
+size derived from the state and control dimensions, and the block length
+from the batch, so the auxiliary memory is bounded by a fixed multiple of
+one batch and does not grow with the number of time steps. On request the
 sweep also records the costate at every node (`costates`), which is the
 discrete adjoint trajectory of the minimum-principle check. A central
 finite-difference fallback serves as the independent cross-check.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
-from .integrators import StepScheme, _rk_linearize
+from .integrators import StepScheme, _linearize_steps
 from .models import DynamicsModel
 
 # fixes the sample-batch boundaries of the sweep, and with them the order in
@@ -54,69 +54,31 @@ def _seed_accessor(running_seed, n_nodes):
     return lambda j: arr[j]
 
 
-def _sweep_single_step(scheme, model, states, controls, lam, seed_at, sl, costates):
-    """Backward recursion for one-step schemes over one sample batch, one
-    linearized block of time steps at a time, last block first."""
+def _sweep(scheme, model, states, controls, lam, seed_at, sl, costates):
+    """Backward recursion over one sample batch, one linearized block of time
+    steps at a time, last block first. `ahead` holds the costates at the
+    nodes after the current one, nearest first, as many as a step reads."""
     n_steps = controls.shape[0]
     du = np.zeros((n_steps, model.m))
     block = _steps_per_block(lam.shape[0], model.n)
+    reach = scheme.ab_steps or 1
+    ahead = [lam]
     for end in range(n_steps, 0, -block):
         start = max(0, end - block)
-        pull = _rk_linearize(scheme, model, states[start:end, sl], controls[start:end, None])
+        pull = _linearize_steps(
+            scheme, model, states[start:end, sl], controls[start:end, None], start
+        )
         for j in range(end - 1, start - 1, -1):
-            lam, lam_u = pull(j - start, lam)
+            lam, lam_u = pull(j - start, ahead)
             du[j] = lam_u.sum(axis=0)
             seed = seed_at(j)
             if seed is not None:
                 lam = lam + seed[sl]
             if costates is not None:
                 costates[j, sl] = lam
+            ahead.insert(0, lam)
+            del ahead[reach:]
     return du, lam
-
-
-def _sweep_multi_step(scheme, model, states, controls, lam_n, seed_at, sl, costates):
-    """Backward recursion for Adams-Bashforth maps.
-
-    Each rhs value f(x_p, u_p) feeds up to s later updates, so the adjoint at
-    node p collects the weighted future costates before one model pullback,
-    from the model linearized once per block of stored states; startup steps
-    integrated by the bootstrap Runge-Kutta scheme add its reverse stage
-    pass, as a one-step block.
-    """
-    s = scheme.ab_steps
-    w = scheme.weights
-    dt = scheme.dt
-    boot = scheme.bootstrap() if s > 1 else None
-    n_steps = controls.shape[0]
-    du = np.zeros((n_steps, model.m))
-    block = _steps_per_block(lam_n.shape[0], model.n)
-    start = n_steps  # first step of the linearized block
-    lam_ahead = [lam_n]  # costates at nodes p+1, p+2, ...
-    for p in range(n_steps - 1, -1, -1):
-        if p < start:
-            start = max(0, p + 1 - block)
-            pull = model.linearize(states[start : p + 1, sl], controls[start : p + 1, None])
-        gather = np.zeros_like(lam_ahead[0])
-        for j in range(max(p, s - 1), min(p + s - 1, n_steps - 1) + 1):
-            gather += w[j - p] * lam_ahead[j - p]
-        gather *= dt
-        lam_x, lam_u = pull(p - start, gather)
-        if p <= s - 2:
-            boot_pull = _rk_linearize(boot, model, states[p : p + 1, sl], controls[p : p + 1, None])
-            boot_x, boot_u = boot_pull(0, lam_ahead[0])
-            lam_p = boot_x + lam_x
-            lam_u = boot_u + lam_u
-        else:
-            lam_p = lam_ahead[0] + lam_x
-        du[p] = lam_u.sum(axis=0)
-        seed = seed_at(p)
-        if seed is not None:
-            lam_p = lam_p + seed[sl]
-        if costates is not None:
-            costates[p, sl] = lam_p
-        lam_ahead.insert(0, lam_p)
-        del lam_ahead[s:]
-    return du, lam_ahead[0]
 
 
 def backward_gradient(
@@ -165,8 +127,6 @@ def backward_gradient(
     n_samples = states.shape[1]
     seed_at = _seed_accessor(running_seed, states.shape[0])
     batch = samples_per_batch(model.n, model.m)
-    multi = scheme.ab_steps is not None and scheme.ab_steps > 1
-    sweep = _sweep_multi_step if multi else _sweep_single_step
     grad_controls = np.zeros((controls.shape[0], model.m))
     grad_initial = np.empty_like(terminal_seed)
     for start in range(0, n_samples, batch):
@@ -177,7 +137,7 @@ def backward_gradient(
             lam += seed[sl]
         if costates is not None:
             costates[-1, sl] = lam
-        du, grad_initial[sl] = sweep(scheme, model, states, controls, lam, seed_at, sl, costates)
+        du, grad_initial[sl] = _sweep(scheme, model, states, controls, lam, seed_at, sl, costates)
         grad_controls += du
     return grad_controls, grad_initial
 

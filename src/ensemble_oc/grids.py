@@ -72,12 +72,13 @@ class ShootingPlan:
 
 def uniform_plan(t_final: float, n_segments: int, dt: float) -> ShootingPlan:
     """Plan with equal segments and a shared step size dt."""
-    if not t_final > 0:
-        raise ParameterError(f"need t_final > 0, got {t_final}")
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not value > 0:
+            raise ParameterError(f"need {name} > 0, got {value}")
+        if not np.isfinite(value):
+            raise ParameterError(f"need a finite {name}, got {value}")
     if n_segments < 1:
         raise ParameterError(f"need n_segments >= 1, got {n_segments}")
-    if dt <= 0:
-        raise ParameterError(f"need dt > 0, got {dt}")
     seg_len = t_final / n_segments
     steps = round(seg_len / dt)
     if steps < 1 or abs(steps * dt - seg_len) > 1e-9 * max(1.0, t_final):

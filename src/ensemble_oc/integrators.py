@@ -1,20 +1,15 @@
-"""Fixed-step explicit one-step maps and their exact derivatives.
+"""Fixed-step explicit schemes: the forward step and the reverse pass of each.
 
 Every scheme realizes a discrete map x_{j+1} = Q(x_j, u_j) with the control
-held constant over the step. Backward sweeps differentiate Runge-Kutta
-steps in reverse mode, a block of steps at a time: the stage states of the
-block are recomputed with wide `rhs` calls, each stage is linearized once
-over the block with the model's `linearize`, and each step then walks its
-stages backward through the transposed tableau with one pullback per
-stage, so no dense step Jacobian is formed. The dense
-step Jacobians dQ/dx and dQ/du, assembled by chaining the model Jacobians
-through the stages, stay available in `step_jacobians` as an independent
-reference. Adams-Bashforth schemes combine the latest rhs evaluations with
-the standard weight tables and bootstrap their startup steps with a
-Runge-Kutta method of matching order; their multi-step structure is
-differentiated inside the backward sweep. One step loop, `_march`, drives
-every scheme; `propagate_segment` stores what it yields, and the batched
-finite difference of `transcription` reduces it as it goes.
+held constant over the step; Adams-Bashforth schemes bootstrap their startup
+steps with a Runge-Kutta method of matching order. One step loop, `_march`,
+drives every scheme forward; `propagate_segment` stores what it yields, and
+the batched finite difference of `transcription` reduces it as it goes.
+`_linearize_steps` is the reverse pass of every scheme over a block of stored
+steps: Runge-Kutta stage states are recomputed with wide `rhs` calls and each
+stage is linearized once over the block with the model's `linearize`, so no
+dense step Jacobian is formed. The dense step Jacobians of the one-step
+schemes stay available in `step_jacobians` as an independent reference.
 """
 
 from __future__ import annotations
@@ -132,75 +127,32 @@ def _tableau(scheme: StepScheme):
     return _BUTCHER["euler" if scheme.ab_steps == 1 else scheme.kind]
 
 
+def _stage_points(a, dt, model, x, u, n_rhs):
+    """Stage points of a Runge-Kutta step from x, and the rhs at the first
+    n_rhs of them."""
+    points, stages = [], []
+    for i in range(a.shape[0]):
+        xi = x
+        for j in range(i):
+            if a[i, j] != 0.0:
+                xi = xi + dt * a[i, j] * stages[j]
+        points.append(xi)
+        if i < n_rhs:
+            stages.append(model.rhs(xi, u))
+    return points, stages
+
+
 def _rk_step(scheme, model, x, u):
     a, b, _ = _tableau(scheme)
     dt = scheme._require_dt()
-    stages = []
     # divergence shows up as non-finite output and is reported by the caller,
     # so intermediate overflow warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(b.size):
-            xi = x
-            for j in range(i):
-                if a[i, j] != 0.0:
-                    xi = xi + dt * a[i, j] * stages[j]
-            stages.append(model.rhs(xi, u))
+        _, stages = _stage_points(a, dt, model, x, u, b.size)
         out = x
         for bi, ki in zip(b, stages):
             out = out + dt * bi * ki
     return out
-
-
-def step(scheme: StepScheme, model: DynamicsModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Advance the ensemble one step of size scheme.dt with a one-step scheme.
-
-    ab1 is explicit Euler. Adams-Bashforth kinds with s > 1 depend on past
-    rhs values and are rejected here; `propagate_segment` runs them.
-    """
-    if scheme.ab_steps not in (None, 1):
-        raise ParameterError(f"{scheme.kind} is a multi-step map; propagate a segment instead")
-    out = _rk_step(scheme, model, np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-    _check_finite(out)
-    return out
-
-
-def step_jacobians(scheme: StepScheme, model: DynamicsModel, x, u):
-    """Exact Jacobians (dQ/dx, dQ/du) of a single Runge-Kutta step.
-
-    Shapes follow the batch convention of the models: (..., n, n) and
-    (..., n, m). Adams-Bashforth kinds with s > 1 depend on several past
-    states and are rejected here; the backward sweep differentiates them.
-    """
-    if scheme.ab_steps not in (None, 1):
-        raise ParameterError(
-            f"{scheme.kind} is a multi-step map; its derivatives live in the backward sweep"
-        )
-    a, b, _ = _tableau(scheme)
-    dt = scheme._require_dt()
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n, m = model.n, model.m
-    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-    eye = np.broadcast_to(np.eye(n), batch + (n, n))
-
-    stages, dk_dx, dk_du = [], [], []
-    for i in range(b.size):
-        xi = x
-        sx = eye
-        su = np.zeros(batch + (n, m))
-        for j in range(i):
-            if a[i, j] != 0.0:
-                xi = xi + dt * a[i, j] * stages[j]
-                sx = sx + dt * a[i, j] * dk_dx[j]
-                su = su + dt * a[i, j] * dk_du[j]
-        stages.append(model.rhs(xi, u))
-        jx = model.jac_x(xi, u)
-        dk_dx.append(jx @ sx if i else jx)
-        dk_du.append(jx @ su + model.jac_u(xi, u) if i else model.jac_u(xi, u))
-
-    a_mat = eye + dt * sum(bi * d for bi, d in zip(b, dk_dx))
-    b_mat = dt * sum(bi * d for bi, d in zip(b, dk_du))
-    return a_mat, b_mat
 
 
 def _rk_linearize(scheme: StepScheme, model: DynamicsModel, x, u):
@@ -210,32 +162,26 @@ def _rk_linearize(scheme: StepScheme, model: DynamicsModel, x, u):
     control rows. The stage states of all B steps are recomputed with s - 1
     wide `rhs` calls and each stage is linearized once over the block with
     the model's `linearize`.
-    The returned pull(j, lam) -> (lam . dQ/dx, lam . dQ/du) of block step j
-    walks the stages backward through the transposed Butcher tableau (Sandu
-    2006, "On the properties of Runge-Kutta discrete adjoints"), so it is
-    linear in lam. Rows stay per sample: shapes (rows, n) and (rows, m).
-    The caller guarantees a one-step scheme with a bound step size.
+    The returned pull(j, ahead) -> (lam . dQ/dx, lam . dQ/du) of block step
+    j, lam = ahead[0] the costate after the step, walks the stages backward
+    through the transposed Butcher tableau (Sandu 2006, "On the properties
+    of Runge-Kutta discrete adjoints"), so it is linear in lam. Rows stay
+    per sample: shapes (rows, n) and (rows, m). The caller guarantees a
+    one-step scheme with a bound step size.
     """
     a, b, _ = _tableau(scheme)
     dt = scheme._require_dt()
     n_stages = b.size
     # the last stage's rhs feeds no later stage, so it is never recomputed
-    points, stages = [], []
-    for i in range(n_stages):
-        xi = x
-        for j in range(i):
-            if a[i, j] != 0.0:
-                xi = xi + dt * a[i, j] * stages[j]
-        points.append(xi)
-        if i < n_stages - 1:
-            stages.append(model.rhs(xi, u))
+    points, _ = _stage_points(a, dt, model, x, u, n_stages - 1)
     pulls = [model.linearize(xi, u) for xi in points]
     # stage i's weight in the update and its (later stage, weight) inputs
     out_w = [dt * b[i] for i in range(n_stages)]
     feeds = [[(k, dt * a[k, i]) for k in range(i + 1, n_stages) if a[k, i] != 0.0]
              for i in range(n_stages)]
 
-    def pull(j, lam):
+    def pull(j, ahead):
+        lam = ahead[0]
         point_bars = [None] * n_stages
         lam_x, lam_u = lam, 0.0
         for i in range(n_stages - 1, -1, -1):
@@ -285,6 +231,81 @@ def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls):
             raise
         _check_finite(x, step_index=j)
         yield x
+
+
+def _linearize_steps(scheme: StepScheme, model: DynamicsModel, x, u, first: int):
+    """Reverse pass of a block of steps of any scheme, linearized once.
+
+    x: (B, rows, n) stored states of steps first .. first + B - 1 of a
+    segment, u: (B, 1, m) their control rows. pull(j, ahead) maps the
+    costates at the nodes after node p = first + j, nearest first (up to s
+    of them for an s-step Adams-Bashforth scheme, one otherwise), to the
+    costate at node p and lam . dQ/du, per sample. An Adams-Bashforth rhs
+    f(x_p, u_p) feeds up to s later updates, so node p gathers their weighted
+    costates before one model pullback; startup steps add the reverse pass
+    of their bootstrap scheme (Sandu 2008, "Reverse automatic
+    differentiation of linear multistep methods").
+    """
+    s = scheme.ab_steps
+    if not s or s == 1:
+        return _rk_linearize(scheme, model, x, u)
+    w = _AB_WEIGHTS[s]
+    dt = scheme._require_dt()
+    model_pull = model.linearize(x, u)
+
+    def pull(j, ahead):
+        p = first + j
+        gather = np.zeros_like(ahead[0])
+        for i in range(max(0, s - 1 - p), len(ahead)):
+            gather += w[i] * ahead[i]
+        gather *= dt
+        lam_x, lam_u = model_pull(j, gather)
+        if p > s - 2:
+            return ahead[0] + lam_x, lam_u
+        boot_pull = _rk_linearize(scheme.bootstrap(), model, x[j : j + 1], u[j : j + 1])
+        boot_x, boot_u = boot_pull(0, ahead)
+        return boot_x + lam_x, boot_u + lam_u
+
+    return pull
+
+
+def step_jacobians(scheme: StepScheme, model: DynamicsModel, x, u):
+    """Exact Jacobians (dQ/dx, dQ/du) of a single Runge-Kutta step.
+
+    Shapes follow the batch convention of the models: (..., n, n) and
+    (..., n, m). Adams-Bashforth kinds with s > 1 depend on several past
+    states and are rejected here; the backward sweep differentiates them.
+    """
+    if scheme.ab_steps not in (None, 1):
+        raise ParameterError(
+            f"{scheme.kind} is a multi-step map; its derivatives live in the backward sweep"
+        )
+    a, b, _ = _tableau(scheme)
+    dt = scheme._require_dt()
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n, m = model.n, model.m
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    eye = np.broadcast_to(np.eye(n), batch + (n, n))
+
+    stages, dk_dx, dk_du = [], [], []
+    for i in range(b.size):
+        xi = x
+        sx = eye
+        su = np.zeros(batch + (n, m))
+        for j in range(i):
+            if a[i, j] != 0.0:
+                xi = xi + dt * a[i, j] * stages[j]
+                sx = sx + dt * a[i, j] * dk_dx[j]
+                su = su + dt * a[i, j] * dk_du[j]
+        stages.append(model.rhs(xi, u))
+        jx = model.jac_x(xi, u)
+        dk_dx.append(jx @ sx if i else jx)
+        dk_du.append(jx @ su + model.jac_u(xi, u) if i else model.jac_u(xi, u))
+
+    a_mat = eye + dt * sum(bi * d for bi, d in zip(b, dk_dx))
+    b_mat = dt * sum(bi * d for bi, d in zip(b, dk_du))
+    return a_mat, b_mat
 
 
 def _segment_inputs(model: DynamicsModel, x0, controls):

@@ -10,8 +10,8 @@ block's control rows as (B, 1, m)), computes everything that depends only on
 (x, u) once with wide calls over the block, and returns pull(j, lam) ->
 (lam . f_x, lam . f_u), the row-vector products at block row j with shapes
 (rows, n) and (rows, m). The backward sweeps use it instead of the dense
-Jacobians; vjp(x, u, lam) is linearize at a single point. Models are
-stateless after construction and safe to call concurrently.
+Jacobians; a single point is a block of one row. Models are stateless after
+construction and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ def _pull_batch(rows: tuple, lam: np.ndarray) -> tuple:
 
 
 class DynamicsModel:
-    """Interface shared by every model: n, m, name, rhs, jac_x, jac_u,
-    linearize and vjp.
+    """Interface shared by every model: n, m, name, rhs, jac_x, jac_u and
+    linearize.
 
     A model needs only rhs, jac_x and jac_u. linearize defaults to the dense
-    Jacobians of the block and is the optional speed override; vjp is
-    linearize at one point, and an override of vjp is not consulted by the
-    sweeps.
+    Jacobians of the block and is the optional speed override.
     """
 
     n: int
@@ -81,10 +79,6 @@ class DynamicsModel:
             return (lam @ jac_x[j])[..., 0, :], (lam @ jac_u[j])[..., 0, :]
 
         return pull
-
-    def vjp(self, x: np.ndarray, u: np.ndarray, lam: np.ndarray):
-        """(lam . f_x, lam . f_u) with shapes (..., n) and (..., m)."""
-        return self.linearize(np.asarray(x, float)[None], np.asarray(u, float)[None])(0, lam)
 
     def _check_dims(self, x: np.ndarray, u: np.ndarray):
         if x.shape[-1] != self.n:

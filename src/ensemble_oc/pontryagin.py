@@ -13,7 +13,6 @@ a proof of optimality.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .gradients import backward_gradient
 from .grids import ControlSchedule, EnsembleTrajectory, ShootingPlan
 from .integrators import StepScheme
 from .models import DynamicsModel
+from .reporting import _write_rows
 from .transcription import NlpPoint, OcProblem, forward_pass
 
 
@@ -213,15 +213,9 @@ class OptimalityReport:
             + [f"u_star_{c + 1}" for c in range(m)]
             + [f"discrepancy_{c + 1}" for c in range(m)]
         )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in range(self.times.size):
-                cells = [self.times[row]]
-                cells += list(self.candidate[row])
-                cells += list(self.minimizer[row])
-                cells += list(np.abs(self.candidate[row] - self.minimizer[row]))
-                writer.writerow([f"{v:.17g}" for v in cells])
+        gap = np.abs(self.candidate - self.minimizer)
+        rows = np.column_stack([self.times, self.candidate, self.minimizer, gap])
+        _write_rows(path, header, rows)
 
 
 def verify(

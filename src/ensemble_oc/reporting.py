@@ -37,7 +37,7 @@ def write_controls_csv(path, plan: ShootingPlan, schedule: ControlSchedule):
 def read_controls_csv(path, plan: ShootingPlan) -> ControlSchedule:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)  # the header; an empty file has no rows either
         rows = [[float(v) for v in row[1:]] for row in reader]
     return ControlSchedule.from_stacked(plan, np.asarray(rows))
 

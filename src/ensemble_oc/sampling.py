@@ -117,6 +117,13 @@ class RandomInputSpec:
         return cls(tuple(Dirac(float(v)) for v in np.asarray(values, dtype=float)))
 
 
+def _seeded_generator(seed: int) -> np.random.Generator:
+    """The Philox generator of a non-negative integer seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def sample_initial_ensemble(spec: RandomInputSpec, M: int, seed: int) -> np.ndarray:
     """Draw an (M, d) matrix of i.i.d. initial states.
 
@@ -125,5 +132,5 @@ def sample_initial_ensemble(spec: RandomInputSpec, M: int, seed: int) -> np.ndar
     """
     if M < 1:
         raise ParameterError(f"sample count must be >= 1, got {M}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _seeded_generator(seed)
     return np.concatenate([c.draw(rng, M) for c in spec.components], axis=1)

@@ -97,10 +97,13 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("inner_tol", "outer_tol"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
-        if self.max_outer < 1:
-            raise ParameterError("max_outer must be at least 1")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
+        for name in ("max_inner", "max_outer", "polish_max_inner"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ParameterError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)

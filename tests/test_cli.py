@@ -239,3 +239,53 @@ def test_library_error_is_one_line_with_exit_code_1(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "step 3" in err[0]
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["propagate", "verify"])
+def test_missing_controls_file_is_named(command, tmp_path, capsys):
+    missing = tmp_path / "nonexistent.csv"
+    code = run_cli(command, "--problem", "ugv-nominal", "--controls", str(missing),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: cannot read controls file {missing}: ")
+    assert "plan" not in line
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["t,u_1,u_2\n0,0.5,0.5\n", ""], ids=["one-row", "empty"])
+@pytest.mark.parametrize("command", ["propagate", "verify"])
+def test_controls_file_of_wrong_shape_blames_the_plan(command, text, tmp_path, capsys):
+    path = tmp_path / "controls.csv"
+    path.write_text(text)
+    code = run_cli(command, "--problem", "ugv-nominal", "--controls", str(path),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert "controls file does not match the plan (expected 200 rows): stacked" in line
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("propagate", ("--dt", "nan"), "need dt > 0, got nan"),
+    ("propagate", ("--t-f", "inf"), "need a finite t_final, got inf"),
+    ("solve", ("--max-iters", "0"), "max_inner must be at least 1, got 0"),
+    ("solve", ("--max-iters", "-3"), "max_inner must be at least 1, got -3"),
+    ("solve", ("--tol", "nan"), "inner_tol must be finite and positive, got nan"),
+    ("propagate", ("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    ("gradcheck", ("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+], ids=["dt-nan", "t-f-inf", "max-iters-0", "max-iters-negative", "tol-nan",
+        "seed-negative", "gradcheck-seed-negative"])
+def test_hostile_values_fail_at_their_source(command, flags, message, tmp_path, capsys):
+    code = run_cli(command, "--problem", "ugv-stochastic", "--M", "3", *flags,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: {message}"

@@ -266,7 +266,7 @@ def test_costates_output_independent_of_batching(kind, rng, monkeypatch):
         np.testing.assert_array_equal(other, outputs[0])
 
 
-@pytest.mark.parametrize("kind", ["euler", "rk3", "rk4", "ab2"])
+@pytest.mark.parametrize("kind", ["euler", "rk2", "rk3", "rk4", "ab1", "ab2", "ab3"])
 @pytest.mark.parametrize("name", ["ugv", "uav", "chebyshev"])
 def test_sweep_independent_of_time_blocks(name, kind, rng, monkeypatch):
     # each step's pullback reads only its own block row, so dU, dX0 and the

@@ -121,3 +121,14 @@ def test_uniform_plan_rejects_empty_horizon(t_final):
     # the horizon is at fault, not the step size that cannot divide it
     with pytest.raises(ParameterError, match=r"need t_final > 0"):
         uniform_plan(t_final, 2, 0.05)
+
+
+@pytest.mark.parametrize("t_final, dt, message", [
+    (float("nan"), 0.05, "need t_final > 0, got nan"),
+    (float("inf"), 0.05, "need a finite t_final, got inf"),
+    (1.0, float("nan"), "need dt > 0, got nan"),
+    (1.0, float("inf"), "need a finite dt, got inf"),
+], ids=["t_final-nan", "t_final-inf", "dt-nan", "dt-inf"])
+def test_uniform_plan_rejects_non_finite_grid(t_final, dt, message):
+    with pytest.raises(ParameterError, match=message):
+        uniform_plan(t_final, 2, dt)

@@ -10,7 +10,6 @@ from ensemble_oc import (
     StepScheme,
     UgvDifferentialDrive,
     propagate_segment,
-    step,
     step_jacobians,
 )
 from ensemble_oc.models import DynamicsModel
@@ -72,6 +71,13 @@ class Blowup(DynamicsModel):
 ALL_KINDS = ["euler", "rk2", "rk3", "rk4", "ab1", "ab2", "ab3"]
 
 
+def one_step(scheme, model, x, u):
+    """One step from x under the control row u: a one-step segment."""
+    x = np.asarray(x, dtype=float)
+    states = propagate_segment(scheme, model, np.atleast_2d(x), np.asarray(u, float)[None])
+    return states[1].reshape(x.shape)
+
+
 def test_consistency_weights_sum_to_one():
     for kind in ALL_KINDS:
         assert StepScheme(kind, 0.1).weights.sum() == pytest.approx(1.0)
@@ -94,19 +100,19 @@ def test_unknown_kind_rejected():
 
 def test_euler_step_hand_value():
     model = UgvDifferentialDrive(random_radius=False, radius=1.25)
-    out = step(StepScheme("euler", 0.1), model, np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0]))
+    out = one_step(StepScheme("euler", 0.1), model, np.zeros(3), np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [0.125, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("kind", ["euler", "rk3", "rk4"])
 def test_zero_field_is_identity(kind, rng):
     x = rng.standard_normal((5, 2))
-    out = step(StepScheme(kind, 0.3), Zero(), x, np.array([0.7]))
+    out = one_step(StepScheme(kind, 0.3), Zero(), x, np.array([0.7]))
     np.testing.assert_array_equal(out, x)
 
 
 def test_rk4_one_step_of_exponential():
-    out = step(StepScheme("rk4", 0.1), Linear1d(a=1.0), np.array([1.0]), np.array([0.0]))
+    out = one_step(StepScheme("rk4", 0.1), Linear1d(a=1.0), np.array([1.0]), np.array([0.0]))
     # truncated exponential series: within 1e-7 of exp(0.1) = 1.105170918
     assert out[0] == pytest.approx(np.exp(0.1), abs=1e-7)
     assert out[0] == pytest.approx(1.1051708333333332, abs=1e-13)
@@ -168,13 +174,13 @@ def test_rk4_step_jacobians_match_fd(rng):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            col = (step(scheme, model, xp, u) - step(scheme, model, xm, u)) / (2 * h)
+            col = (one_step(scheme, model, xp, u) - one_step(scheme, model, xm, u)) / (2 * h)
             worst = max(worst, np.abs(a_mat[:, i] - col).max())
         for i in range(2):
             up, um = u.copy(), u.copy()
             up[i] += h
             um[i] -= h
-            col = (step(scheme, model, x, up) - step(scheme, model, x, um)) / (2 * h)
+            col = (one_step(scheme, model, x, up) - one_step(scheme, model, x, um)) / (2 * h)
             worst = max(worst, np.abs(b_mat[:, i] - col).max())
     assert worst <= 1e-6
 
@@ -182,12 +188,6 @@ def test_rk4_step_jacobians_match_fd(rng):
 def test_multistep_jacobians_rejected():
     with pytest.raises(ParameterError):
         step_jacobians(StepScheme("ab2", 0.1), Linear1d(), np.array([1.0]), np.array([0.0]))
-
-
-@pytest.mark.parametrize("kind", ["ab2", "ab3"])
-def test_step_rejects_multistep(kind):
-    with pytest.raises(ParameterError):
-        step(StepScheme(kind, 0.1), Linear1d(), np.array([1.0]), np.array([0.0]))
 
 
 def test_propagate_telescoping_sum():

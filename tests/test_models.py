@@ -166,7 +166,7 @@ class TestChebyshevReactionDiffusion:
 
 class Pendulum(DynamicsModel):
     """Pendulum with control-set damping and a quadratic input; it defines
-    no vjp of its own, so the base-class default is the one under test."""
+    no linearize of its own, so the base-class default is the one under test."""
 
     n = 2
     m = 2
@@ -236,7 +236,7 @@ def test_vjp_matches_transposed_jacobians(name, seed, n_samples, shared, n_rows)
     model = _VJP_MODELS[name]()
     rng = np.random.Generator(np.random.Philox(seed))
     x, u, lam = _vjp_inputs(model, rng, n_samples, shared)
-    lam_x, lam_u = model.vjp(x, u, lam)
+    lam_x, lam_u = model.linearize(x[None], u[None])(0, lam)  # a one-row block
     _assert_rel_close(lam_x, np.einsum("mr,mrc->mc", lam, model.jac_x(x, u)))
     _assert_rel_close(lam_u, np.einsum("mr,mrc->mc", lam, model.jac_u(x, u)))
 
@@ -260,7 +260,7 @@ def test_uav_vjp_raises_like_jacobian(rng):
     with pytest.raises(DomainError) as jac_err:
         model.jac_x(x, u)
     with pytest.raises(DomainError) as vjp_err:
-        model.vjp(x, u, np.ones_like(x))
+        model.linearize(x[None], u[None])(0, np.ones_like(x))
     assert str(vjp_err.value) == str(jac_err.value)
     assert vjp_err.value.sample_index == jac_err.value.sample_index == 2
 

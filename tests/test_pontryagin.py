@@ -348,3 +348,12 @@ def test_verify_runs_on_adams_bashforth_problem():
     report = verify(problem, ControlSchedule.from_stacked(problem.plan, u))
     assert report.minimizer.shape == u.shape
     assert np.all(np.isfinite(report.discrepancy))
+
+
+def test_verify_rejects_negative_seed():
+    problem = eoc.build("ugv-stochastic", M=3, dt=0.5)
+    controls = eoc.ControlSchedule(
+        problem.plan, tuple(np.zeros((s.steps, 2)) for s in problem.plan.segments)
+    )
+    with pytest.raises(eoc.ParameterError, match="seed must be a non-negative integer"):
+        eoc.verify(problem, controls, seed=-2)

@@ -86,3 +86,10 @@ def test_sample_count_must_be_positive():
     spec = RandomInputSpec((Dirac(0.0),))
     with pytest.raises(ParameterError):
         sample_initial_ensemble(spec, 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, None], ids=["negative", "float", "none"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    spec = RandomInputSpec((Dirac(0.0),))
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        sample_initial_ensemble(spec, 3, seed=seed)

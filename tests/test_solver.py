@@ -412,3 +412,17 @@ def test_report_schema_status_enum_matches_solve_status():
 
     schema = load_report_schema()
     assert set(schema["properties"]["status"]["enum"]) == {s.value for s in SolveStatus}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("inner_tol", float("nan")),
+    ("outer_tol", float("inf")),
+    ("inner_tol", 0.0),
+    ("max_inner", 0),
+    ("max_inner", -3),
+    ("max_outer", 0),
+    ("polish_max_inner", 0),
+])
+def test_solver_config_rejects_empty_budgets_and_bad_tolerances(field, value):
+    with pytest.raises(eoc.ParameterError, match=field):
+        SolverConfig(**{field: value})
