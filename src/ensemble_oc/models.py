@@ -23,7 +23,10 @@ from .errors import DomainError, ShapeMismatchError
 
 
 def _batch_shape(x: np.ndarray, u: np.ndarray) -> tuple:
-    return np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+    batch, u_batch = x.shape[:-1], u.shape[:-1]
+    if u_batch == () or u_batch == batch:  # a shared or a per-sample control
+        return batch
+    return np.broadcast_shapes(batch, u_batch)
 
 
 def _first_bad_sample(mask: np.ndarray, block: bool = False):

@@ -6,20 +6,24 @@ continuously), integrate the costates backward with the exact discrete
 adjoint of the same scheme (the gradient engine's `backward_gradient`, which
 records the costate at every node; Runge-Kutta and Adams-Bashforth schemes
 alike), then minimize the sample-mean Hamiltonian pointwise in time and
-report how far the candidate sits from that minimizer. Small discrepancy
+report how far the candidate sits from that minimizer. The minimization
+takes a block of nodes per call, sized like the sweep's sample batches, so
+no array of a whole segment's control Jacobians is formed; each node's
+minimizer equals the one a call on that node alone returns. Small discrepancy
 means the candidate satisfies the necessary optimality conditions; it is not
 a proof of optimality.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeMismatchError
-from .gradients import backward_gradient
-from .grids import ControlSchedule, EnsembleTrajectory, ShootingPlan
+from .errors import DomainError, ParameterError, ShapeMismatchError
+from .gradients import _BATCH_TARGET_FLOATS, backward_gradient
+from .grids import ControlSchedule, EnsembleTrajectory, ShootingPlan, control_times
 from .integrators import StepScheme
 from .models import DynamicsModel
 from .reporting import _write_rows
@@ -33,11 +37,6 @@ def hamiltonian(model: DynamicsModel, u, x, lam, q: float):
     lam = np.asarray(lam, dtype=float)
     energy = 0.5 * q * np.sum(u * u, axis=-1)
     return energy + np.sum(lam * model.rhs(x, u), axis=-1)
-
-
-def mean_hamiltonian(model, u, states, costates, q: float) -> float:
-    """Sample average of the Hamiltonian at a shared control."""
-    return float(np.mean(hamiltonian(model, u, states, costates, q)))
 
 
 @dataclass(frozen=True)
@@ -96,22 +95,39 @@ def adjoint_sweep(
     return AdjointTrajectory(plan, tuple(out))
 
 
-def _golden_min(func, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_min(func, lo: float, hi: float, nodes: int, tol: float = 1e-10) -> np.ndarray:
+    """Golden-section minima of func on [lo, hi], one search per node, run in
+    lock-step: func maps (nodes,) points to (nodes,) values. Each node stops
+    once its own bracket is no wider than tol, as the widths can round
+    differently from node to node; a stopped node's probes are not used."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.full(nodes, lo), np.full(nodes, hi)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = func(c), func(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = func(d)
+    live = b - a > tol
+    while np.any(live):
+        lower = fc < fd
+        left, right = live & lower, live & ~lower  # keep [a, d] or [c, b]
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d = (
+            np.where(left, b - inv_phi * (b - a), np.where(right, d, c)),
+            np.where(left, c, np.where(right, a + inv_phi * (b - a), d)),
+        )
+        f = func(np.where(left, c, d))
+        fc, fd = (
+            np.where(left, f, np.where(right, fd, fc)),
+            np.where(left, fc, np.where(right, f, fd)),
+        )
+        live = b - a > tol
     return 0.5 * (a + b)
+
+
+# einsum sums a lone output element in chunks of this many products, and a
+# block of nodes would chunk its rows differently; nodes larger than one chunk
+# are therefore contracted one at a time, which keeps every sum bit-equal
+_EINSUM_CHUNK = 8192
 
 
 def ensemble_argmin_control(
@@ -125,20 +141,34 @@ def ensemble_argmin_control(
 ):
     """Minimizer of the sample-mean Hamiltonian inside the control box.
 
-    Control-affine dynamics with quadratic energy admit the closed form
-    u* = clip(-a / q) with a_c the sample mean of lam . df/du_c; with q = 0
-    the minimizer is the bound-selecting (bang-bang) control and the optional
-    flag reports it. Non-affine channels are handled by coordinate descent
-    with golden-section line minimization.
+    states and costates are one node's (M, n) ensemble, giving an (m,)
+    control, or a block of nodes (B, M, n), giving (B, m): each node's
+    minimizer is the one its own 2-D call returns. Control-affine dynamics
+    with quadratic energy admit the closed form u* = clip(-a / q) with a_c
+    the sample mean of lam . df/du_c; with q = 0 the minimizer is the
+    bound-selecting (bang-bang) control and the optional flag reports it.
+    Non-affine channels are handled by coordinate descent with golden-section
+    line minimization, run for all nodes of the block in lock-step.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    costates = np.atleast_2d(np.asarray(costates, dtype=float))
+    states = np.asarray(states, dtype=float)
+    costates = np.asarray(costates, dtype=float)
+    single = states.ndim < 3
+    if single:
+        states = np.atleast_2d(states)[None]
+        costates = np.atleast_2d(costates)[None]
+    nodes, samples = states.shape[:2]
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (model.m,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (model.m,))
     bang = False
     if model.control_affine:
         b_mats = model.jac_u(states, np.zeros(model.m))
-        a_vec = np.einsum("mr,mrc->c", costates, b_mats) / states.shape[0]
+        if b_mats[0].size > _EINSUM_CHUNK:
+            a_vec = np.stack(
+                [np.einsum("mr,mrc->c", lam, b) for lam, b in zip(costates, b_mats)]
+            )
+        else:
+            a_vec = np.einsum("bmr,bmrc->bc", costates, b_mats)
+        a_vec = a_vec / samples
         if q > 0.0:
             u_star = np.clip(-a_vec / q, lo, hi)
         else:
@@ -149,18 +179,28 @@ def ensemble_argmin_control(
     else:
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ParameterError("coordinate search needs finite control bounds")
-        u_star = 0.5 * (lo + hi)
+        u_star = np.tile(0.5 * (lo + hi), (nodes, 1))
+        todo = np.ones(nodes, dtype=bool)  # nodes whose sweeps still move
         for _ in range(60):
             u_prev = u_star.copy()
             for c in range(model.m):
                 def channel(val, c=c):
                     u_try = u_star.copy()
-                    u_try[c] = val
-                    return mean_hamiltonian(model, u_try, states, costates, q)
+                    u_try[:, c] = val
+                    try:
+                        h = hamiltonian(model, u_try[:, None], states, costates, q)
+                    except DomainError as err:
+                        # a probed control, shared by all samples of a node:
+                        # the block's leading axis indexes nodes, not samples
+                        raise DomainError(str(err)) from err
+                    return h.mean(axis=1)
 
-                u_star[c] = _golden_min(channel, lo[c], hi[c])
-            if np.max(np.abs(u_star - u_prev)) < 1e-9:
+                u_star[todo, c] = _golden_min(channel, lo[c], hi[c], nodes)[todo]
+            todo &= ~(np.max(np.abs(u_star - u_prev), axis=1) < 1e-9)
+            if not np.any(todo):
                 break
+    if single:
+        u_star = u_star[0]
     return (u_star, bang) if return_flag else u_star
 
 
@@ -237,38 +277,46 @@ def verify(
     segs = forward_pass(fresh, NlpPoint(candidate.values, ()))
     trajectory = EnsembleTrajectory(problem.plan, tuple(segs))
 
+    # a block of nodes: its jac_u, and its running seeds, hold at most the
+    # sweep's batch target of floats
+    per_block = max(1, _BATCH_TARGET_FLOATS // (fresh.M * model.n * model.m))
+
     terminal_grad = cost.terminal_grad(trajectory.terminal)
     running = None
     if cost.has_running:
 
+        @functools.lru_cache(maxsize=1)
+        def block_seeds(k, start):
+            rows = segs[k][start : start + per_block]
+            return problem.plan.segments[k].dt * cost.running_grad(rows)
+
         def running(k, j):
-            return problem.plan.segments[k].dt * cost.running_grad(segs[k][j])
+            return block_seeds(k, j - j % per_block)[j % per_block]
 
     adjoint = adjoint_sweep(
         problem.scheme, model, trajectory, candidate, terminal_grad, running_seed=running
     )
 
     q = cost.control_energy
-    rows_u, rows_star, times = [], [], []
+    blocks = []
     bang = False
     for k, seg in enumerate(problem.plan.segments):
-        for j in range(seg.steps):
+        for j in range(0, seg.steps, per_block):
+            end = min(j + per_block, seg.steps)
             u_star, flag = ensemble_argmin_control(
                 model,
-                segs[k][j],
-                adjoint.segments[k][j],
+                segs[k][j:end],
+                adjoint.segments[k][j:end],
                 q,
                 problem.control_lo,
                 problem.control_hi,
                 return_flag=True,
             )
             bang = bang or flag
-            rows_star.append(u_star)
-            rows_u.append(candidate.values[k][j])
-            times.append(seg.t_start + j * seg.dt)
+            blocks.append(u_star)
 
-    candidate_arr = np.asarray(rows_u)
-    minimizer = np.asarray(rows_star)
+    candidate_arr = candidate.stacked()
+    minimizer = np.concatenate(blocks)
     disc = np.max(np.abs(candidate_arr - minimizer), axis=1)
     widths = problem.control_hi - problem.control_lo
     finite = np.isfinite(widths)
@@ -279,7 +327,7 @@ def verify(
     mean_disc = float(disc.mean())
     max_disc = float(disc.max())
     return OptimalityReport(
-        times=np.asarray(times),
+        times=control_times(problem.plan),
         candidate=candidate_arr,
         minimizer=minimizer,
         discrepancy=disc,

@@ -16,15 +16,18 @@ from .grids import ControlSchedule, ShootingPlan, control_times, grid_times
 from .solver import SolveReport
 from .transcription import OcProblem
 
-_FMT = "{:.17g}"
+_FMT = "%.17g"
 
 
 def _write_rows(path, header, rows):
+    """The header through csv.writer, then one %-format per row: numbers
+    need no quoting, so each line is the values joined by commas. Rows are
+    formatted one at a time; a list of all values as Python floats would
+    hold some 32 bytes per value at once."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FMT.format(v) for v in row])
+        csv.writer(fh).writerow(header)
+        line = ",".join([_FMT] * len(header)) + "\r\n"
+        fh.writelines(line % tuple(row) for row in np.asarray(rows, dtype=float))
 
 
 def write_controls_csv(path, plan: ShootingPlan, schedule: ControlSchedule):

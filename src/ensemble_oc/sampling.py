@@ -117,10 +117,14 @@ class RandomInputSpec:
         return cls(tuple(Dirac(float(v)) for v in np.asarray(values, dtype=float)))
 
 
-def _seeded_generator(seed: int) -> np.random.Generator:
-    """The Philox generator of a non-negative integer seed."""
+def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _seeded_generator(seed: int) -> np.random.Generator:
+    """The Philox generator of a non-negative integer seed."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 

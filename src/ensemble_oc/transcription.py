@@ -27,7 +27,7 @@ from .gradients import _steps_per_block, backward_gradient
 from .grids import ControlSchedule, ShootingPlan
 from .integrators import StepScheme, _march, _segment_inputs, propagate_segment
 from .models import DynamicsModel
-from .sampling import RandomInputSpec, sample_initial_ensemble
+from .sampling import RandomInputSpec, _check_seed, sample_initial_ensemble
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,7 @@ class OcProblem:
         object.__setattr__(self, "control_hi", np.asarray(self.control_hi, float))
         if self.M < 1:
             raise ParameterError(f"sample count must be >= 1, got {self.M}")
+        _check_seed(self.seed)  # before any caller writes output
         if self.initial.dim != self.model.n:
             raise ParameterError(
                 f"initial spec dimension {self.initial.dim} != state dimension {self.model.n}"

@@ -289,3 +289,19 @@ def test_hostile_values_fail_at_their_source(command, flags, message, tmp_path, 
                    "--out", str(tmp_path / "o"))
     assert code == 1
     assert _one_error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["propagate", "verify", "gradcheck"])
+def test_negative_seed_leaves_no_output_directory(command, tmp_path, capsys):
+    from ensemble_oc import ControlSchedule, build
+    from ensemble_oc.reporting import write_controls_csv
+
+    plan = build("ugv-stochastic", M=3).plan
+    controls = tmp_path / "controls.csv"
+    write_controls_csv(controls, plan, ControlSchedule.constant(plan, [0.1, 0.0]))
+    extra = ("--controls", str(controls)) if command == "verify" else ()
+    code = run_cli(command, "--problem", "ugv-stochastic", "--M", "3", "--seed", "-1",
+                   *extra, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert _one_error_line(capsys) == "error: seed must be a non-negative integer, got -1"
+    assert not (tmp_path / "o").exists()

@@ -21,7 +21,6 @@ from ensemble_oc import (
 from ensemble_oc.gradients import backward_gradient
 from ensemble_oc.integrators import step_jacobians
 from ensemble_oc.models import UgvBicycle, UgvDifferentialDrive, FixedWingUav, ChebyshevReactionDiffusion
-from ensemble_oc.pontryagin import mean_hamiltonian
 from conftest import random_uav_state
 from test_integrators import Linear1d, Zero
 
@@ -166,8 +165,8 @@ def test_argmin_coordinate_search_interior_stationarity(rng):
             up[c] += h
             um[c] -= h
             deriv = (
-                mean_hamiltonian(model, up, states, costates, 1.0)
-                - mean_hamiltonian(model, um, states, costates, 1.0)
+                np.mean(hamiltonian(model, up, states, costates, 1.0))
+                - np.mean(hamiltonian(model, um, states, costates, 1.0))
             ) / (2 * h)
             assert abs(deriv) <= 1e-8
 
@@ -357,3 +356,183 @@ def test_verify_rejects_negative_seed():
     )
     with pytest.raises(eoc.ParameterError, match="seed must be a non-negative integer"):
         eoc.verify(problem, controls, seed=-2)
+
+
+def _per_node_reference(problem, candidate):
+    """verify's minimizer as it stood before blocking: the same forward and
+    adjoint passes, then one 2-D ensemble_argmin_control call per node."""
+    segs = tr.forward_pass(problem, tr.NlpPoint(candidate.values, ()))
+    trajectory = EnsembleTrajectory(problem.plan, tuple(segs))
+    cost = problem.cost
+    running = None
+    if cost.has_running:
+
+        def running(k, j):
+            return problem.plan.segments[k].dt * cost.running_grad(segs[k][j])
+
+    adjoint = adjoint_sweep(
+        problem.scheme, problem.model, trajectory, candidate,
+        cost.terminal_grad(trajectory.terminal), running_seed=running,
+    )
+    rows_u, rows_star, times, bang = [], [], [], False
+    for k, seg in enumerate(problem.plan.segments):
+        for j in range(seg.steps):
+            u_star, flag = ensemble_argmin_control(
+                problem.model, segs[k][j], adjoint.segments[k][j], cost.control_energy,
+                problem.control_lo, problem.control_hi, return_flag=True,
+            )
+            bang = bang or flag
+            rows_star.append(u_star)
+            rows_u.append(candidate.values[k][j])
+            times.append(seg.t_start + j * seg.dt)
+    return np.asarray(times), np.asarray(rows_u), np.asarray(rows_star), bang
+
+
+def _verify_cases():
+    ugv = eoc.build("ugv-stochastic", M=6, seed=3, t_f=2.0, dt=0.1, segments=1)
+    q0 = ugv.replace(cost=CostSpec(ugv.cost.terminal_weights, ugv.cost.terminal_target,
+                                   control_energy=0.0))
+    return {
+        "ugv-random-radius": (ugv, 1.0),
+        "ugv-bang-bang": (q0, 1.0),
+        "ugv-two-segments": (eoc.build("ugv-stochastic", M=5, seed=1, t_f=2.0, dt=0.1,
+                                       segments=2), 1.0),
+        "ugv-ab2": (eoc.build("ugv-stochastic", M=4, seed=2, t_f=2.0, dt=0.1, segments=2)
+                    .replace(scheme=StepScheme("ab2")), 0.5),
+        "uav": (eoc.build("uav-stochastic", M=4, seed=4, t_f=1.0), 0.0),
+        "chebyshev": (eoc.build("pde-stochastic", n_nodes=8, M=5, dt=0.002, t_f=0.1,
+                                seed=5), 1.0),
+        "chebyshev-wide-nodes": (eoc.build("pde-stochastic", n_nodes=16, M=600, dt=0.002,
+                                           t_f=0.02, seed=5), 1.0),
+        "bicycle": (eoc.build("ugv-bicycle", M=2, seed=0, t_f=3.0, q=0.2), 1.0),
+    }
+
+
+@pytest.mark.parametrize("target", [None, 50], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("case", list(_verify_cases()))
+def test_verify_blocks_equal_the_per_node_loop(case, target, monkeypatch):
+    problem, scale = _verify_cases()[case]
+    if target is not None:  # blocks of a few nodes, the last one ragged
+        monkeypatch.setattr(eoc.pontryagin, "_BATCH_TARGET_FLOATS", target)
+    rng = np.random.default_rng(17)
+    u = scale * rng.uniform(-1, 1, (problem.plan.total_steps, problem.model.m))
+    candidate = ControlSchedule.from_stacked(problem.plan, u)
+    report = verify(problem, candidate)
+    times, rows_u, rows_star, bang = _per_node_reference(problem, candidate)
+    np.testing.assert_array_equal(report.times, times)
+    np.testing.assert_array_equal(report.candidate, rows_u)
+    np.testing.assert_array_equal(report.minimizer, rows_star)
+    np.testing.assert_array_equal(report.discrepancy, np.max(np.abs(rows_u - rows_star), axis=1))
+    assert report.bang_bang == bang == (case == "ugv-bang-bang")
+
+
+@pytest.mark.parametrize("model, M, q, nodes", [
+    (UgvDifferentialDrive(random_radius=True), 9, 0.3, 6),
+    (UgvDifferentialDrive(random_radius=True), 9, 0.0, 6),
+    (FixedWingUav(), 5, 0.01, 6),
+    (ChebyshevReactionDiffusion(n_nodes=8), 7, 0.1, 6),
+    (ChebyshevReactionDiffusion(n_nodes=16), 512, 0.1, 6),  # 8192 products a node
+    (ChebyshevReactionDiffusion(n_nodes=16), 600, 0.1, 6),  # over one einsum chunk
+    # nodes whose coordinate sweeps converge after different numbers of sweeps
+    (UgvBicycle(), 4, 0.5, 12),
+    (UgvBicycle(), 1, 0.0, 6),
+], ids=["ugv", "ugv-bang-bang", "uav", "chebyshev", "chebyshev-8192", "chebyshev-9600",
+        "bicycle", "bicycle-q0"])
+def test_blocked_argmin_equals_stacked_single_nodes(model, M, q, nodes):
+    rng = np.random.default_rng(5)
+    if isinstance(model, FixedWingUav):
+        states = np.stack([[random_uav_state(rng) for _ in range(M)] for _ in range(nodes)])
+    else:
+        states = rng.uniform(-1.0, 1.0, (nodes, M, model.n))
+    costates = rng.standard_normal((nodes, M, model.n))
+    costates[2] = 0.0  # a node whose Hamiltonian is flat in u
+    lo, hi = -np.ones(model.m), np.ones(model.m)
+    block, bang = ensemble_argmin_control(model, states, costates, q, lo, hi,
+                                          return_flag=True)
+    single = [ensemble_argmin_control(model, x, lam, q, lo, hi, return_flag=True)
+              for x, lam in zip(states, costates)]
+    assert block.shape == (nodes, model.m)
+    np.testing.assert_array_equal(block, np.stack([u for u, _ in single]))
+    assert bang == single[0][1]
+
+
+def _scalar_golden_min(func, lo, hi, tol=1e-10):
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = func(c), func(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = func(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = func(d)
+    return 0.5 * (a + b)
+
+
+def test_lock_step_golden_sections_stop_node_by_node():
+    # a bracket about 4.24 tolerances wide: rounding makes some nodes take 3
+    # section steps and others 4, so each node needs its own stopping test
+    from ensemble_oc.pontryagin import _golden_min
+
+    lo, hi = 0.25, 0.2500000004236067
+    targets = np.random.default_rng(0).uniform(lo, hi, 200)
+    got = _golden_min(lambda v: (v - targets) ** 2, lo, hi, targets.size)
+    want = [_scalar_golden_min(lambda v, t=t: (v - t) ** 2, lo, hi) for t in targets]
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("problem_id, overrides, t_f", [
+    ("ugv-stochastic", dict(M=200, dt=0.01), 4.0),
+    ("pde-stochastic", dict(n_nodes=16, M=25, dt=0.002), 4.0),  # with running seeds
+], ids=["ugv", "pde"])
+def test_verify_memory_does_not_grow_past_one_block(problem_id, overrides, t_f):
+    # verify may hold one block of nodes beyond the state and costate
+    # trajectories, never a whole segment's jac_u or running seeds (5.1-6.4 MB here)
+    import tracemalloc
+
+    from ensemble_oc.gradients import _BATCH_TARGET_FLOATS
+
+    peaks, stored = [], []
+    for horizon in (t_f, 2 * t_f):
+        problem = eoc.build(problem_id, seed=1, t_f=horizon, segments=1, **overrides)
+        candidate = ControlSchedule.from_stacked(
+            problem.plan, np.full((problem.plan.total_steps, problem.model.m), 0.2)
+        )
+        verify(problem, candidate)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            verify(problem, candidate)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # states and costates, (N + 1, M, n) each
+        stored.append(2 * 8 * (problem.plan.total_steps + 1) * problem.M * problem.model.n)
+    assert peaks[1] - peaks[0] <= (stored[1] - stored[0]) + 8 * _BATCH_TARGET_FLOATS
+
+
+def test_bicycle_verify_runs_in_lock_step():
+    import time
+
+    problem = eoc.build("ugv-bicycle", seed=0)  # M=1, 1000 nodes
+    u = np.random.default_rng(3).uniform(-1, 1, (problem.plan.total_steps, 2))
+    candidate = ControlSchedule.from_stacked(problem.plan, u)
+    start = time.perf_counter()
+    report = verify(problem, candidate)
+    assert time.perf_counter() - start < 0.5
+    assert report.minimizer.shape == (1000, 2)
+
+
+def test_coordinate_search_outside_the_model_domain_names_no_sample():
+    # the probed steering angle is shared by a node's samples
+    problem = eoc.build("ugv-bicycle", M=2, seed=0, t_f=2.0).replace(
+        control_lo=np.array([-1.0, -2.0]), control_hi=np.array([1.0, 2.0])
+    )
+    candidate = ControlSchedule.from_stacked(problem.plan, np.zeros((20, 2)))
+    with pytest.raises(eoc.DomainError, match="steering angle") as info:
+        verify(problem, candidate)
+    assert info.value.sample_index is None

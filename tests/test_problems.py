@@ -159,6 +159,15 @@ def test_seed_and_dt_overrides():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, None], ids=["negative", "float", "none"])
+def test_problem_rejects_a_bad_seed_when_built(seed):
+    # build and replace both fail before anything is drawn or written
+    with pytest.raises(eoc.ParameterError, match="seed must be a non-negative integer"):
+        build("ugv-stochastic", M=3, seed=seed)
+    with pytest.raises(eoc.ParameterError, match="seed must be a non-negative integer"):
+        build("ugv-stochastic", M=3).replace(seed=seed)
+
+
 def test_zero_horizon_names_the_horizon():
     with pytest.raises(eoc.ParameterError, match=r"need t_final > 0, got 0.0"):
         build("ugv-stochastic", t_f=0.0)
