@@ -3,8 +3,10 @@
 Every scheme realizes a discrete map x_{j+1} = Q(x_j, u_j) with the control
 held constant over the step; Adams-Bashforth schemes bootstrap their startup
 steps with a Runge-Kutta method of matching order. One step loop, `_march`,
-drives every scheme forward; `propagate_segment` stores what it yields, and
-the batched finite difference of `transcription` reduces it as it goes.
+drives every scheme forward, over one ensemble or over the stacked
+ensembles of several segments with equal steps; `propagate_segment` stores
+what it yields, and the value-only objective and the batched finite
+difference of `transcription` reduce it as they go.
 `_linearize_steps` is the reverse pass of every scheme over a block of stored
 steps: Runge-Kutta stage states are recomputed with wide `rhs` calls and each
 stage is linearized once over the block with the model's `linearize`, so no
@@ -158,16 +160,17 @@ def _rk_step(scheme, model, x, u):
 def _rk_linearize(scheme: StepScheme, model: DynamicsModel, x, u):
     """Reverse pass of a block of Runge-Kutta steps, linearized once.
 
-    x: (B, rows, n) stored states of B consecutive steps, u: (B, 1, m) their
-    control rows. The stage states of all B steps are recomputed with s - 1
-    wide `rhs` calls and each stage is linearized once over the block with
-    the model's `linearize`.
+    x: (B, K, rows, n) stored states of B consecutive steps of K stacked
+    segments, u: (B, K, 1, m) their control rows; a single segment has no
+    K axis. The stage states of all B steps are recomputed with s - 1 wide
+    `rhs` calls and each stage is linearized once over the block with the
+    model's `linearize`.
     The returned pull(j, ahead) -> (lam . dQ/dx, lam . dQ/du) of block step
     j, lam = ahead[0] the costate after the step, walks the stages backward
     through the transposed Butcher tableau (Sandu 2006, "On the properties
     of Runge-Kutta discrete adjoints"), so it is linear in lam. Rows stay
-    per sample: shapes (rows, n) and (rows, m). The caller guarantees a
-    one-step scheme with a bound step size.
+    per sample: shapes (K, rows, n) and (K, rows, m). The caller guarantees
+    a one-step scheme with a bound step size.
     """
     a, b, _ = _tableau(scheme)
     dt = scheme._require_dt()
@@ -201,9 +204,17 @@ def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls):
 
     The one step loop of every scheme: Runge-Kutta steps, and Adams-Bashforth
     steps after their Runge-Kutta bootstrap. controls is iterated row by row,
-    so its rows may be built as the steps run. A non-finite state raises
-    `PropagationError` and a model's `DomainError` gets the step index.
+    so its rows may be built as the steps run. x0 may be a (K, M, n) stack
+    of segments' start ensembles with (K, 1, m) rows (`_segment_inputs`). A
+    non-finite state raises `PropagationError` and a model's `DomainError`
+    gets the step index.
     """
+    if x0.ndim == 3 and x0.shape[0] == 1:
+        # a stack of one segment (the value-only objective of a continuous
+        # point) steps faster in the plain (M, n) layout
+        for x in _march(scheme, model, x0[0], (u[0, 0] for u in controls)):
+            yield x[None]
+        return
     s = scheme.ab_steps or 1
     w = _AB_WEIGHTS[s]
     x = x0
@@ -236,11 +247,12 @@ def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls):
 def _linearize_steps(scheme: StepScheme, model: DynamicsModel, x, u, first: int):
     """Reverse pass of a block of steps of any scheme, linearized once.
 
-    x: (B, rows, n) stored states of steps first .. first + B - 1 of a
-    segment, u: (B, 1, m) their control rows. pull(j, ahead) maps the
-    costates at the nodes after node p = first + j, nearest first (up to s
-    of them for an s-step Adams-Bashforth scheme, one otherwise), to the
-    costate at node p and lam . dQ/du, per sample. An Adams-Bashforth rhs
+    x: (B, K, rows, n) stored states of steps first .. first + B - 1 of K
+    stacked segments, u: (B, K, 1, m) their control rows; a single segment
+    has no K axis. pull(j, ahead) maps the costates at the nodes after node
+    p = first + j, nearest first (up to s of them for an s-step
+    Adams-Bashforth scheme, one otherwise), to the costate at node p and
+    lam . dQ/du, per sample. An Adams-Bashforth rhs
     f(x_p, u_p) feeds up to s later updates, so node p gathers their weighted
     costates before one model pullback; startup steps add the reverse pass
     of their bootstrap scheme (Sandu 2008, "Reverse automatic
@@ -309,9 +321,17 @@ def step_jacobians(scheme: StepScheme, model: DynamicsModel, x, u):
 
 
 def _segment_inputs(model: DynamicsModel, x0, controls):
-    """x0 as an (M, n) float ensemble and the float control rows of one
-    segment, after the segment's shape checks."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    """The float start and control rows of one segment, after its shape checks.
+
+    x0 is an (M, n) ensemble, or a (K, M, n) stack of the start ensembles of
+    K segments with equal steps. controls are (N, m) rows shared across
+    samples or (N, M, m) per-sample rows; a stacked start takes the (N, K, m)
+    stack of the segments' blocks, whose step rows are returned as (K, 1, m),
+    so each broadcasts over its own segment's samples.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 3:
+        x0 = np.atleast_2d(x0)
     controls = np.asarray(controls, dtype=float)
     if controls.ndim not in (2, 3):
         raise ShapeMismatchError(f"controls must be (N, m) or (N, M, m), got {controls.shape}")
@@ -319,6 +339,13 @@ def _segment_inputs(model: DynamicsModel, x0, controls):
         raise ShapeMismatchError(
             f"control dimension {controls.shape[-1]} != model.m = {model.m}"
         )
+    if x0.ndim == 3:
+        if controls.ndim != 3 or controls.shape[1] != x0.shape[0]:
+            raise ShapeMismatchError(
+                f"{x0.shape[0]} stacked start ensembles need (N, {x0.shape[0]}, m) "
+                f"controls, got {controls.shape}"
+            )
+        return x0, controls[:, :, None, :]
     if controls.ndim == 3 and controls.shape[1] != x0.shape[0]:
         raise ShapeMismatchError("per-sample controls do not match the ensemble size")
     return x0, controls
@@ -335,6 +362,12 @@ def propagate_segment(
     x0: (M, n) initial ensemble. controls: (N, m) rows shared across samples
     or (N, M, m) per-sample rows. Returns the (N + 1, M, n) stack of states
     including x0; all samples advance simultaneously in lock step.
+    K segments with equal step size and count advance together from a
+    (K, M, n) stack of their start ensembles under the (N, K, m) stack of
+    their control blocks; the result is then (N + 1, K, M, n), and segment
+    k's states are [:, k]. A failure of a stacked march indexes the stack,
+    not one segment: `PropagationError` names a row of the flattened (K M)
+    samples and a model's `DomainError` may name a segment.
     """
     x0, controls = _segment_inputs(model, x0, controls)
     out = np.empty((controls.shape[0] + 1,) + x0.shape)

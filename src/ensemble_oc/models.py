@@ -10,8 +10,14 @@ block's control rows as (B, 1, m)), computes everything that depends only on
 (x, u) once with wide calls over the block, and returns pull(j, lam) ->
 (lam . f_x, lam . f_u), the row-vector products at block row j with shapes
 (rows, n) and (rows, m). The backward sweeps use it instead of the dense
-Jacobians; a single point is a block of one row. Models are stateless after
-construction and safe to call concurrently.
+Jacobians; a single point is a block of one row. Stacked shooting segments
+add a leading segment axis: rhs takes states (K, M, n) with control rows
+(K, 1, m), linearize blocks (B, K, M, n) with (B, K, 1, m), and pull then
+maps (K, rows, n) costates to (K, rows, n) and (K, rows, m). Every entry
+must equal, bit for bit, that of the call on segment k alone, so a model
+computes elementwise along the leading axes (a matrix product over the
+state axis is fine; one over a flattened (K M) axis is not). Models are
+stateless after construction and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from .errors import DomainError, ShapeMismatchError
 
 def _batch_shape(x: np.ndarray, u: np.ndarray) -> tuple:
     batch, u_batch = x.shape[:-1], u.shape[:-1]
-    if u_batch == () or u_batch == batch:  # a shared or a per-sample control
+    # a shared, a per-sample or a per-segment control
+    if u_batch == () or u_batch == batch or u_batch == batch[:-1] + (1,):
         return batch
     return np.broadcast_shapes(batch, u_batch)
 
@@ -124,10 +131,11 @@ class UgvDifferentialDrive(DynamicsModel):
         self._check_dims(x, u)
         r = self._radius(x)
         c3, s3 = np.cos(x[..., 2]), np.sin(x[..., 2])
+        ru0 = r * u[..., 0]
         out = np.zeros(_batch_shape(x, u) + (self.n,))
-        out[..., 0] = r * u[..., 0] * c3
-        out[..., 1] = r * u[..., 0] * s3
-        out[..., 2] = r * u[..., 1]
+        np.multiply(ru0, c3, out=out[..., 0])
+        np.multiply(ru0, s3, out=out[..., 1])
+        np.multiply(r, u[..., 1], out=out[..., 2])
         return out
 
     def jac_x(self, x, u):
@@ -160,25 +168,29 @@ class UgvDifferentialDrive(DynamicsModel):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         self._check_dims(x, u)
-        r = self._radius(x)
+        block = _batch_shape(x, u)
+        rows = block[1:]
+        # each factor a contiguous block-shaped array, so the per-step
+        # products below run on the costate's component views alone
+        r = np.ascontiguousarray(np.broadcast_to(self._radius(x), block))
         c3, s3 = np.cos(x[..., 2]), np.sin(x[..., 2])
-        u0, u1 = u[..., 0], u[..., 1]
+        u0 = np.ascontiguousarray(np.broadcast_to(u[..., 0], block))
+        u1 = np.ascontiguousarray(np.broadcast_to(u[..., 1], block))
         ru0 = r * u0
-        rows = _batch_shape(x, u)[1:]
 
         def pull(j, lam):
             lam = np.asarray(lam, dtype=float)
             c, s = c3[j], s3[j]
-            rj = r[j] if self.random_radius else r
             batch = _pull_batch(rows, lam)
-            along = lam[..., 0] * c + lam[..., 1] * s  # lam . (cos x3, sin x3)
+            lam0, lam1, lam2 = lam[..., 0], lam[..., 1], lam[..., 2]
+            along = lam0 * c + lam1 * s  # lam . (cos x3, sin x3)
             lam_x = np.zeros(batch + (self.n,))
-            lam_x[..., 2] = ru0[j] * (lam[..., 1] * c - lam[..., 0] * s)
+            np.multiply(ru0[j], lam1 * c - lam0 * s, out=lam_x[..., 2])
             if self.random_radius:
-                lam_x[..., 3] = u0[j] * along + u1[j] * lam[..., 2]
+                np.add(u0[j] * along, u1[j] * lam2, out=lam_x[..., 3])
             lam_u = np.empty(batch + (self.m,))
-            lam_u[..., 0] = rj * along
-            lam_u[..., 1] = rj * lam[..., 2]
+            np.multiply(r[j], along, out=lam_u[..., 0])
+            np.multiply(r[j], lam2, out=lam_u[..., 1])
             return lam_x, lam_u
 
         return pull

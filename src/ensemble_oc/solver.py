@@ -164,15 +164,19 @@ def _max_step(x, d, lo, hi, frac):
     return alpha
 
 
-def _lbfgs_inner(value, gradient, x, lo, hi, tol, cfg, log=None, label="", extra=None):
+def _lbfgs_inner(
+    value, gradient, x, lo, hi, tol, cfg, log=None, label="", extra=None, start=None
+):
     """Minimize a smooth merit inside the box; returns the final iterate.
 
     value(x) -> (merit, evaluation) runs at each trial point and gradient(
     evaluation) -> (grad, objective, residual) only at the accepted one.
-    Every accepted step satisfies the Armijo sufficient-decrease condition,
-    and the fraction-to-boundary cap keeps iterates strictly interior.
+    start, when given, is value(x) already evaluated. Every accepted step
+    satisfies the Armijo sufficient-decrease condition, and the
+    fraction-to-boundary cap keeps iterates strictly interior.
     """
-    f, ev = value(x)
+    f, ev = value(x) if start is None else start
+    start = None
     if not np.isfinite(f):
         raise ParameterError("merit not finite at the inner start point")
     g, obj, cres = gradient(ev)
@@ -441,7 +445,7 @@ class _BoxMerit:
         return evaluation
 
 
-def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
+def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary, start=None):
     """Barrier and augmented-penalty rounds over one merit (Nocedal & Wright,
     ch. 17-19).
 
@@ -453,6 +457,9 @@ def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
     loop's last gradient, taken at the iterate it returns.
     label prefixes the inner log lines and summary, when given, formats the
     round's log line; both are format strings over the round's record.
+    start, when given, is a list holding ev.value at the starting point and
+    round parameters; the first round takes it out, so that the trajectory
+    of that evaluation lives no longer than the first gradient needs it.
 
     Returns (x, status, per-round records, final mu, final nu).
     """
@@ -465,6 +472,7 @@ def _outer_loop(ev, x, mu, nu, rho, cfg, log, label, summary):
             functools.partial(ev.value, mu=mu, nu=nu, rho=rho), ev.gradient,
             x, ev.lo_vec, ev.hi_vec, tol, cfg, log=log, label=label.format(outer=outer),
             extra=None if ev.reduced else (lambda obj, cres: f"cres={cres:.3e}"),
+            start=start.pop() if start else None,
         )
         ginf = float(np.max(np.abs(g))) if g.size else 0.0
         record = OuterRecord(outer, mu, rho, nu, merit, obj, cres, ginf, iters)
@@ -525,7 +533,9 @@ def solve(
     rho = _PENALTY_RHO0 if problem.n_segments > 1 else 0.0
 
     try:
-        first = ev.evaluate(x, mu, 0.0, rho)[0]
+        # the first round's inner start evaluates this same point: hand it over
+        start = [ev.evaluate(x, mu, 0.0, rho)]
+        first = start[0][0]
     except PropagationError as err:  # its text names the sample and step
         raise ParameterError(f"initial guess does not propagate: {err}") from err
     except DomainError as err:
@@ -543,7 +553,7 @@ def solve(
         )
 
     x, status, history, mu, nu = _outer_loop(
-        ev, x, mu, 0.0, rho, cfg, log, "[outer {outer}] ", _ROUND_LINE
+        ev, x, mu, 0.0, rho, cfg, log, "[outer {outer}] ", _ROUND_LINE, start
     )
     outer = len(history)
     x_phys = ev.to_physical(x)

@@ -7,11 +7,17 @@ through a single aggregated sum-of-squares residual. Objective, continuity
 and ensemble-mean path quantities all share one forward pass; an objective
 value asked for without a stored trajectory marches the segments and reduces
 the running cost as it goes, so it keeps none. Their
-gradients come from one seed assembler, `merit_gradient`, and one backward
-sweep per segment (`sweep_gradient`). A point without interface states is
-the continuous (single-shooting) trajectory: each segment starts where the
-one before ends, there are no gaps, and the sweeps carry the costate across
-interfaces. The finite-difference cross-check, `fd_objective_gradient`, runs
+gradients come from one seed assembler, `merit_gradient`, and the backward
+sweeps of `sweep_gradient`. Given its start states each segment is
+independent, so the segments of a point with interface states that share
+(dt, steps) march as one stack on a leading segment axis, (K, M, n) states
+under (K, 1, m) control rows, and are swept as one stack wherever a sample
+batch of the sweep holds all their samples; every result equals, bit for
+bit, that of marching and sweeping the segments one at a time. A point
+without interface states is the continuous (single-shooting) trajectory:
+each segment starts where the one before ends, there are no gaps, and the
+sweeps carry the costate across interfaces, one segment after another. The
+finite-difference cross-check, `fd_objective_gradient`, runs
 each segment once with all its perturbed copies along the sample axis, for
 every plan and scheme.
 """
@@ -22,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, ShapeMismatchError
-from .gradients import _steps_per_block, backward_gradient
+from .errors import DomainError, ParameterError, PropagationError, ShapeMismatchError
+from .gradients import _steps_per_block, backward_gradient, _segments_per_sweep
 from .grids import ControlSchedule, ShootingPlan
 from .integrators import StepScheme, _march, _segment_inputs, propagate_segment
 from .models import DynamicsModel
@@ -229,15 +235,105 @@ def default_start(problem: OcProblem, controls=None) -> NlpPoint:
     return NlpPoint(blocks, tuple(states[-1].copy() for states in segs))
 
 
-def _shoot(problem: OcProblem, controls, starts) -> list[np.ndarray]:
-    """Propagate one segment per control block. Segment k > 0 starts from
+class _Segments(list):
+    """Per-segment (N_k + 1, M, n) state stacks of a forward pass, each a view
+    into the (N + 1, K, M, n) stack of the segments it marched with; `stacks`
+    pairs each such group's segment indices with that stack."""
+
+    __slots__ = ("stacks",)
+
+
+def _groups(problem: OcProblem, count: int, continuous: bool) -> list[tuple[int, ...]]:
+    """The first `count` segments in groups that march as one stack: those
+    with equal (dt, steps), each group in segment order and the groups in the
+    order of their first segment. A group holds at most as many segments as
+    one sample batch of the sweep has rows for (`_segments_per_sweep`): the
+    stack saves per-step call overhead, which at larger ensembles is small
+    against the arithmetic, while one large stack allocation raised the peak
+    resident memory. A continuous point's segments start where the one
+    before ends, so each marches alone."""
+    if continuous:
+        return [(k,) for k in range(count)]
+    model = problem.model
+    size = _segments_per_sweep(model.n, model.m, problem.M)
+    groups = {}
+    for k, seg in enumerate(problem.plan.segments[:count]):
+        groups.setdefault((seg.dt, seg.steps), []).append(k)
+    return [tuple(group[i : i + size]) for group in groups.values()
+            for i in range(0, len(group), size)]
+
+
+def _control_stack(problem: OcProblem, controls, group) -> np.ndarray:
+    """The (N, K, m) stack of the group's control blocks."""
+    shape = (problem.plan.segments[group[0]].steps, problem.model.m)
+    blocks = [np.asarray(controls[k], dtype=float) for k in group]
+    for k, block in zip(group, blocks):
+        if block.shape != shape:
+            raise ShapeMismatchError(
+                f"control block {k} has shape {block.shape}, expected {shape}"
+            )
+    return np.stack(blocks, axis=1)
+
+
+def _march_group(problem: OcProblem, controls, starts, group, start, run):
+    """run(scheme, stacked start, (N, K, m) controls) for one group.
+
+    A stacked march that fails indexes the stack, so on a `PropagationError`
+    or `DomainError` the segments from the group's first on are marched one
+    at a time, as a pass segment by segment would, and the error of the first
+    one that fails is raised: its sample and step are that segment's own.
+    Segments before the group's first have marched already, without error.
+    """
+    first = group[0]
+    try:
+        return run(problem.segment_scheme(first), start, _control_stack(problem, controls, group))
+    except (PropagationError, DomainError) as err:
+        failure = err
+    x = start[0]
+    for k in range(first, len(controls)):
+        if k > first and starts:
+            x = starts[k - 1]
+        x, u = _segment_inputs(problem.model, x, controls[k])
+        for x in _march(problem.segment_scheme(k), problem.model, x, u):
+            pass
+    raise failure
+
+
+def _marched_groups(problem: OcProblem, controls, starts, run):
+    """Yield (group, final states, result) for every group of segments, in
+    order, where run(scheme, stacked start, (N, K, m) controls) -> (the
+    group's (K, M, n) final states, result). Segment k > 0 starts from
     starts[k - 1], or, where starts is empty, from the end of segment k - 1."""
-    segs = []
-    start = initial_ensemble(problem)
-    for k, u in enumerate(controls):
-        if k > 0:
-            start = starts[k - 1] if starts else segs[-1][-1]
-        segs.append(propagate_segment(problem.segment_scheme(k), problem.model, start, u))
+    x0 = initial_ensemble(problem)
+    end = x0
+    for group in _groups(problem, len(controls), not starts):
+        if starts:
+            start = np.stack([starts[k - 1] if k else x0 for k in group])
+        else:
+            start = end[None]
+        final, result = _march_group(problem, controls, starts, group, start, run)
+        end = final[0]
+        yield group, final, result
+
+
+def _shoot(problem: OcProblem, controls, starts) -> _Segments:
+    """Propagate one segment per control block. Segment k > 0 starts from
+    starts[k - 1], or, where starts is empty, from the end of segment k - 1.
+    Segments with given starts and equal (dt, steps) march as one stack."""
+    segs = _Segments([None] * len(controls))
+    segs.stacks = []
+
+    def run(scheme, start, u):
+        if len(start) == 1:  # one segment, in the layout it has alone
+            stack = propagate_segment(scheme, problem.model, start[0], u[:, 0])[:, None]
+        else:
+            stack = propagate_segment(scheme, problem.model, start, u)
+        return stack[-1], stack
+
+    for group, _, stack in _marched_groups(problem, controls, starts, run):
+        segs.stacks.append((group, stack))
+        for i, k in enumerate(group):
+            segs[k] = stack[:, i]
     return segs
 
 
@@ -252,7 +348,12 @@ def _check_layout(problem: OcProblem, point: NlpPoint):
 
 def forward_pass(problem: OcProblem, point: NlpPoint) -> list[np.ndarray]:
     """Propagate every segment: from the point's own interface states, or,
-    for a point without them, continuously from the end of the one before."""
+    for a point without them, continuously from the end of the one before.
+
+    Returns one (N_k + 1, M, n) state stack per segment. Segments with
+    interface states and equal (dt, steps) march together, and their stacks
+    are views [:, k] of one (N + 1, K, M, n) array, which the sweeps of
+    `sweep_gradient` read whole."""
     _check_layout(problem, point)
     return _shoot(problem, point.controls, point.interface_states)
 
@@ -277,31 +378,35 @@ def _marched_costs(problem: OcProblem, point: NlpPoint):
     """
     _check_layout(problem, point)
     cost, model = problem.cost, problem.model
-    running = cost.has_running
-    block = _steps_per_block(problem.M, model.n)
-    x = initial_ensemble(problem)
-    node_means = []
-    for k, u in enumerate(point.controls):
-        if k > 0 and point.interface_states:
-            x = point.interface_states[k - 1]
+
+    def run(scheme, x, u):
         x, u = _segment_inputs(model, x, u)
-        march = _march(problem.segment_scheme(k), model, x, u)
-        if not running:
+        march = _march(scheme, model, x, u)
+        if not cost.has_running:
             for x in march:
                 pass
-            node_means.append(None)
-            continue
+            return x, None
         n_steps = u.shape[0]
-        means = np.empty(n_steps)
+        means = np.empty((x.shape[0], n_steps))
+        block = _steps_per_block(x.shape[0] * x.shape[1], model.n)
         nodes = np.empty((min(block, n_steps),) + x.shape)
         for first in range(0, n_steps, block):
             count = min(block, n_steps - first)
             for i in range(count):
                 nodes[i] = x
                 x = next(march)
-            means[first : first + count] = cost.running_value(nodes[:count]).mean(axis=1)
-        node_means.append(means)
-    return x, node_means
+            means[:, first : first + count] = cost.running_value(nodes[:count]).mean(axis=2).T
+        return x, means
+
+    n_seg = len(point.controls)
+    finals, node_means = [None] * n_seg, [None] * n_seg
+    for group, final, means in _marched_groups(
+        problem, point.controls, point.interface_states, run
+    ):
+        for i, k in enumerate(group):
+            finals[k] = final[i]
+            node_means[k] = None if means is None else means[i]
+    return finals[-1], node_means
 
 
 def evaluate_objective(problem: OcProblem, point: NlpPoint, segs=None) -> float:
@@ -327,38 +432,73 @@ def evaluate_objective(problem: OcProblem, point: NlpPoint, segs=None) -> float:
     return value + control_energy_value(problem, point)
 
 
-def objective_seeds(problem: OcProblem, segs):
-    """Terminal and running adjoint seeds of the Monte Carlo objective."""
-    cost = problem.cost
-    M = problem.M
-    terminal = [np.zeros_like(seg[-1]) for seg in segs]
-    terminal[-1] = cost.terminal_grad(segs[-1][-1]) / M
-    running = [None] * len(segs)
-    if cost.has_running:
-        for k, (seg, states) in enumerate(zip(problem.plan.segments, segs)):
-            arr = np.zeros_like(states)
-            # running_grad(states[:-1]) * dt / M, built in place in arr
-            np.subtract(states[:-1], cost.running_target, out=arr[:-1])
-            arr[:-1] *= cost.running_weights
-            arr[:-1] *= seg.dt / M
-            running[k] = arr
+def _sweep_units(segs):
+    """(segments, stored states) of every backward sweep, last first: a group
+    of stacked segments with its (N + 1, K, M, n) stack, and a segment that
+    marched alone with its (N + 1, M, n) states."""
+    # states stored apart, not by `forward_pass`, are each a group of one
+    stacks = getattr(segs, "stacks", None) or [((k,), None) for k in range(len(segs))]
+    units = [(group, stack) if len(group) > 1 else (group, segs[group[0]])
+             for group, stack in stacks]
+    return sorted(units, key=lambda unit: unit[0][-1], reverse=True)
+
+
+def _sweep_seeds(problem: OcProblem, segs, unit, states, objective, gaps, gap_weight,
+                 path_coefs):
+    """Terminal and running adjoint seeds of one sweep, in the layout of its
+    states: a (K, M, n) terminal seed for a stack, an (M, n) one for one
+    segment, and a running seed like the states, or None. The objective
+    seeds the last segment's end and, with a running cost, every node; the
+    gaps seed the segment ends and the path coefficients every node."""
+    cost, M = problem.cost, problem.M
+    terminal = np.zeros(states.shape[1:])
+    running = None
+    if objective and cost.has_running:
+        running = np.zeros_like(states)
+        # running_grad(states[:-1]) * dt / M, built in place
+        np.subtract(states[:-1], cost.running_target, out=running[:-1])
+        running[:-1] *= cost.running_weights
+        running[:-1] *= problem.plan.segments[unit[0]].dt / M
+    for i, k in enumerate(unit):
+        at = (i,) if len(unit) > 1 else ()  # segment k's entry of the seeds
+        if objective and k == len(segs) - 1:
+            terminal[at] = cost.terminal_grad(segs[k][-1]) / M
+        if k < len(gaps):
+            terminal[at] += (2.0 * gap_weight / M) * gaps[k]
+        if path_coefs is not None:
+            if running is None:
+                running = np.zeros_like(states)
+            running[(slice(None),) + at] += path_coefs[k][:, None, :] / M
     return terminal, running
 
 
-def sweep_gradient(problem: OcProblem, point: NlpPoint, segs, terminal_seeds, running_seeds):
-    """Per-segment backward sweeps, last first: (control grads, initial-state
-    grads). A point without interface states is continuous: each segment's
-    initial-state gradient is added to the terminal seed of the one before."""
-    n_seg = problem.n_segments
+def sweep_gradient(problem: OcProblem, point: NlpPoint, segs, objective=True, gaps=(),
+                   gap_weight=0.0, path_coefs=None):
+    """Backward sweeps of `_sweep_units`, last first: (per-segment control
+    grads, per-segment initial-state grads) of the seeds `_sweep_seeds`
+    builds, which live only as long as their sweep. A point without
+    interface states is continuous: each segment's initial-state gradient is
+    added to the terminal seed of the one before."""
+    n_seg = len(segs)
     du, dx0 = [None] * n_seg, [None] * n_seg
-    for k in range(n_seg - 1, -1, -1):
-        seed = terminal_seeds[k]
-        if not point.interface_states and k < n_seg - 1:
-            seed = seed + dx0[k + 1]
-        du[k], dx0[k] = backward_gradient(
-            problem.segment_scheme(k), problem.model, segs[k], point.controls[k], seed,
-            running_seed=running_seeds[k],
+    for unit, states in _sweep_units(segs):
+        terminal, running = _sweep_seeds(
+            problem, segs, unit, states, objective, gaps, gap_weight, path_coefs
         )
+        k = unit[0]
+        if not point.interface_states and k < n_seg - 1:
+            terminal += dx0[k + 1]
+        g_u, g_x = backward_gradient(
+            problem.segment_scheme(k), problem.model, states,
+            _control_stack(problem, point.controls, unit) if len(unit) > 1
+            else point.controls[k],
+            terminal, running_seed=running,
+        )
+        if len(unit) == 1:
+            du[k], dx0[k] = g_u, g_x
+        else:
+            for i, k in enumerate(unit):
+                du[k], dx0[k] = g_u[:, i], g_x[i]
     return du, dx0
 
 
@@ -385,20 +525,8 @@ def merit_gradient(
     carried across interfaces and there is no interface block.
     """
     M = problem.M
-    if objective:
-        terminal, running = objective_seeds(problem, segs)
-    else:
-        terminal, running = [np.zeros_like(seg[-1]) for seg in segs], [None] * len(segs)
     gaps = continuity_gaps(problem, point, segs) if gap_weight != 0.0 else []
-    for k, gap in enumerate(gaps):
-        terminal[k] = terminal[k] + (2.0 * gap_weight / M) * gap
-    if path_coefs is not None:
-        for k, coef in enumerate(path_coefs):
-            if running[k] is None:
-                running[k] = np.zeros_like(segs[k])
-            running[k] = running[k] + coef[:, None, :] / M
-
-    du, dx0 = sweep_gradient(problem, point, segs, terminal, running)
+    du, dx0 = sweep_gradient(problem, point, segs, objective, gaps, gap_weight, path_coefs)
     q = problem.cost.control_energy if objective else 0.0
     if q != 0.0:
         for k, seg in enumerate(problem.plan.segments):
