@@ -4,9 +4,14 @@ Every scheme realizes a discrete map x_{j+1} = Q(x_j, u_j) with the control
 held constant over the step; Adams-Bashforth schemes bootstrap their startup
 steps with a Runge-Kutta method of matching order. One step loop, `_march`,
 drives every scheme forward, over one ensemble or over the stacked
-ensembles of several segments with equal steps; `propagate_segment` stores
-what it yields, and the value-only objective and the batched finite
-difference of `transcription` reduce it as they go.
+ensembles of several segments with equal steps. It runs block by block of
+steps: one error-state scope and one finiteness check per block, each state
+written straight into a buffer of the caller, the dt-scaled tableau formed
+once per march. `propagate_segment` gives it the output rows; the value-only
+objective and the batched finite difference of `transcription` give it room
+for one block and reduce each block as it comes. Rows may join a march at a
+given step as copies of its first rows: the perturbed copies of the finite
+difference join at the step their perturbation enters.
 `_linearize_steps` is the reverse pass of every scheme over a block of stored
 steps: Runge-Kutta stage states are recomputed with wide `rhs` calls and each
 stage is linearized once over the block with the model's `linearize`, so no
@@ -17,6 +22,7 @@ schemes stay available in `step_jacobians` as an independent reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -129,32 +135,43 @@ def _tableau(scheme: StepScheme):
     return _BUTCHER["euler" if scheme.ab_steps == 1 else scheme.kind]
 
 
-def _stage_points(a, dt, model, x, u, n_rhs):
+def _rk_coefficients(scheme: StepScheme):
+    """The dt-scaled tableau of a one-step scheme: per stage its (earlier
+    stage, dt * a[i, j]) inputs, and the weights dt * b[i] of the update."""
+    a, b, _ = _tableau(scheme)
+    dt = scheme._require_dt()
+    feeds = [[(j, dt * a[i, j]) for j in range(i) if a[i, j] != 0.0] for i in range(b.size)]
+    return feeds, [dt * bi for bi in b]
+
+
+def _stage_points(feeds, model, x, u, n_rhs):
     """Stage points of a Runge-Kutta step from x, and the rhs at the first
     n_rhs of them."""
     points, stages = [], []
-    for i in range(a.shape[0]):
+    for i, feed in enumerate(feeds):
         xi = x
-        for j in range(i):
-            if a[i, j] != 0.0:
-                xi = xi + dt * a[i, j] * stages[j]
+        for j, c in feed:
+            xi = xi + c * stages[j]
         points.append(xi)
         if i < n_rhs:
             stages.append(model.rhs(xi, u))
     return points, stages
 
 
-def _rk_step(scheme, model, x, u):
-    a, b, _ = _tableau(scheme)
-    dt = scheme._require_dt()
-    # divergence shows up as non-finite output and is reported by the caller,
-    # so intermediate overflow warnings carry no information
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, stages = _stage_points(a, dt, model, x, u, b.size)
+def _rk_stepper(scheme: StepScheme):
+    """step(model, x, u, dest=None) -> Q(x, u) of a one-step scheme, with its
+    dt-scaled tableau formed once; the new state is written to dest when one
+    is given."""
+    feeds, weights = _rk_coefficients(scheme)
+
+    def step(model, x, u, dest=None):
+        _, stages = _stage_points(feeds, model, x, u, len(feeds))
         out = x
-        for bi, ki in zip(b, stages):
-            out = out + dt * bi * ki
-    return out
+        for c, k in zip(weights[:-1], stages):
+            out = out + c * k
+        return np.add(out, weights[-1] * stages[-1], out=dest)
+
+    return step
 
 
 def _rk_linearize(scheme: StepScheme, model: DynamicsModel, x, u):
@@ -174,12 +191,13 @@ def _rk_linearize(scheme: StepScheme, model: DynamicsModel, x, u):
     """
     a, b, _ = _tableau(scheme)
     dt = scheme._require_dt()
+    inputs, out_w = _rk_coefficients(scheme)
     n_stages = b.size
     # the last stage's rhs feeds no later stage, so it is never recomputed
-    points, _ = _stage_points(a, dt, model, x, u, n_stages - 1)
+    points, _ = _stage_points(inputs, model, x, u, n_stages - 1)
     pulls = [model.linearize(xi, u) for xi in points]
-    # stage i's weight in the update and its (later stage, weight) inputs
-    out_w = [dt * b[i] for i in range(n_stages)]
+    # stage i's weight in the update is out_w[i]; these are its (later
+    # stage, weight) inputs
     feeds = [[(k, dt * a[k, i]) for k in range(i + 1, n_stages) if a[k, i] != 0.0]
              for i in range(n_stages)]
 
@@ -199,49 +217,130 @@ def _rk_linearize(scheme: StepScheme, model: DynamicsModel, x, u):
     return pull
 
 
-def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls):
-    """Yield the ensemble state after each step, one step per control row.
+# A march runs its steps in blocks, each in one error-state scope and
+# checked for non-finite states once. A block holds at most this many steps
+# and, unless one step alone is larger, this many state floats, so a caller
+# that keeps no trajectory keeps one block of states (`_march_buffer`).
+_BLOCK_STEPS = 16
+_BLOCK_FLOATS = 16384
+
+
+def _steps_per_march_block(floats_per_step: int) -> int:
+    return max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // max(1, floats_per_step)))
+
+
+def _march_buffer(shape, n_steps: int) -> np.ndarray:
+    """Zeroed room for one block of march states of the given shape, for a
+    caller that keeps no trajectory."""
+    rows = min(n_steps, _steps_per_march_block(int(np.prod(shape))))
+    return np.zeros((rows,) + tuple(shape))
+
+
+def _check_block(states, first: int):
+    """The per-step check over a block of states: the `PropagationError` of
+    the first step with a non-finite state, naming its first bad sample."""
+    if not np.isfinite(states).all():
+        for i, x in enumerate(states):
+            _check_finite(x, step_index=first + i)
+
+
+def _march(scheme: StepScheme, model: DynamicsModel, x0: np.ndarray, controls, out,
+           joins=None):
+    """Take one step per control row, writing the state after step j to
+    out[j % len(out)], and after each block of steps yield (its first step,
+    its states): a view into out that the next block may overwrite.
 
     The one step loop of every scheme: Runge-Kutta steps, and Adams-Bashforth
     steps after their Runge-Kutta bootstrap. controls is iterated row by row,
-    so its rows may be built as the steps run. x0 may be a (K, M, n) stack
-    of segments' start ensembles with (K, 1, m) rows (`_segment_inputs`). A
-    non-finite state raises `PropagationError` and a model's `DomainError`
-    gets the step index.
+    so its rows may be built as the steps run. out holds a row for every step
+    (`propagate_segment`) or one block of them (`_march_buffer`). x0 may be a
+    (K, M, n) stack of segments' start ensembles with (K, 1, m) rows
+    (`_segment_inputs`).
+
+    joins = (base, live) lets rows join a march of (rows, n) states: live[j]
+    rows take step j, x0 holds the live[0] rows of step 0, and rows
+    live[j - 1]:live[j] join at step j as copies of the first base rows, with
+    their state and, for Adams-Bashforth, their rhs history. The rows of out
+    are then live[-1] wide; rows not yet joined read zero.
+
+    Each block runs in one error-state scope and is checked for non-finite
+    states once, so a non-finite state raises the `PropagationError` of the
+    first bad step and sample whatever the block length. An exception at
+    step j gives way to the `PropagationError` of an earlier step of its
+    block, and a model's `DomainError` gets the step index j.
     """
+    dest = out
     if x0.ndim == 3 and x0.shape[0] == 1:
         # a stack of one segment (the value-only objective of a continuous
         # point) steps faster in the plain (M, n) layout
-        for x in _march(scheme, model, x0[0], (u[0, 0] for u in controls)):
-            yield x[None]
-        return
+        x0, dest = x0[0], out[:, 0]
+        controls = (u[0, 0] for u in controls)
     s = scheme.ab_steps or 1
-    w = _AB_WEIGHTS[s]
+    if s == 1:
+        rk = _rk_stepper(scheme)
+    else:
+        boot = _rk_stepper(scheme.bootstrap())
+        w = _AB_WEIGHTS[s]
+        dt = scheme._require_dt()
+    base, live = joins if joins is not None else (0, None)
+    size = len(out)
+    block = min(size, _steps_per_march_block(out[0].size)) if size else 0
+    controls = iter(controls)
     x = x0
     history: list[np.ndarray] = []  # rhs values, most recent first
-    for j, uj in enumerate(controls):
+    first = 0
+    while block:
+        i0 = first % size
+        j = first
+        failure = None
         try:
-            if s == 1:
-                x = _rk_step(scheme, model, x, uj)
-            else:
-                # as in `_rk_step`; scoped to the step, so the caller's error
-                # state holds between yields
-                with np.errstate(over="ignore", invalid="ignore"):
-                    fj = model.rhs(x, uj)
-                    if j < s - 1:
-                        x = _rk_step(scheme.bootstrap(), model, x, uj)
+            # divergence shows up as non-finite states and is reported below,
+            # so intermediate overflow warnings carry no information
+            with np.errstate(over="ignore", invalid="ignore"):
+                for uj in islice(controls, block):
+                    row = dest[i0 + j - first]
+                    if live is not None:
+                        if j and live[j] > live[j - 1]:
+                            x = _join(dest[(j - 1) % size], history, base, live[j - 1], live[j])
+                        row = row[: live[j]]
+                    if s == 1:
+                        x = rk(model, x, uj, row)
                     else:
-                        acc = w[0] * fj
-                        for q in range(1, s):
-                            acc = acc + w[q] * history[q - 1]
-                        x = x + scheme._require_dt() * acc
-                history.insert(0, fj)
-                del history[s - 1 :]
-        except DomainError as err:
-            err.step_index = j
-            raise
-        _check_finite(x, step_index=j)
-        yield x
+                        fj = model.rhs(x, uj)
+                        if j < s - 1:
+                            x = boot(model, x, uj, row)
+                        else:
+                            acc = w[0] * fj
+                            for q in range(1, s):
+                                acc = acc + w[q] * history[q - 1]
+                            x = np.add(x, dt * acc, out=row)
+                        history.insert(0, fj)
+                        del history[s - 1 :]
+                    j += 1
+        except Exception as err:
+            failure = err
+        states = out[i0 : i0 + j - first]
+        _check_block(states, first)
+        if failure is not None:
+            if isinstance(failure, DomainError):
+                failure.step_index = j
+            raise failure
+        if j == first:
+            return
+        yield first, states
+        if j - first < block:
+            return
+        first = j
+
+
+def _join(prev, history, base, before, after):
+    """Fill rows before:after of the state row prev with copies of its first
+    base rows, extend each rhs history entry alike, and return the joined
+    state prev[:after]."""
+    reps = (after - before) // base
+    prev[before:after] = np.tile(prev[:base], (reps, 1))
+    history[:] = [np.concatenate([h, np.tile(h[:base], (reps, 1))]) for h in history]
+    return prev[:after]
 
 
 def _linearize_steps(scheme: StepScheme, model: DynamicsModel, x, u, first: int):
@@ -372,6 +471,6 @@ def propagate_segment(
     x0, controls = _segment_inputs(model, x0, controls)
     out = np.empty((controls.shape[0] + 1,) + x0.shape)
     out[0] = x0
-    for j, x in enumerate(_march(scheme, model, x0, controls), 1):
-        out[j] = x
+    for _ in _march(scheme, model, x0, controls, out[1:]):
+        pass
     return out

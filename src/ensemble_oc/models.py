@@ -461,7 +461,10 @@ class FixedWingUav(DynamicsModel):
         def pull(j, lam):
             lam = np.asarray(lam, dtype=float)
             lam_x = (lam[..., None, :6] @ rows[j])[..., 0, :]
-            lam_u = np.broadcast_to(lam[..., 6:9], _pull_batch(block_rows, lam) + (3,))
+            lam_u = lam[..., 6:9]
+            batch = _pull_batch(block_rows, lam)
+            if batch != lam_u.shape[:-1]:  # never in the sweeps
+                lam_u = np.broadcast_to(lam_u, batch + (3,))
             return lam_x, lam_u.copy()
 
         return pull

@@ -291,16 +291,28 @@ def _path_barrier_terms(problem: OcProblem, means, mu: float):
             if np.isfinite(pb.lo):
                 d = v - pb.lo
                 if np.any(d <= 0):
-                    raise BarrierInfeasible(f"path bound lo on state {pb.state_index}")
+                    raise _path_infeasible(problem, pb, "lo", k, v, d)
                 value -= mu * float(np.log(d).sum())
                 coefs[k][:, pb.state_index] -= mu / d
             if np.isfinite(pb.hi):
                 d = pb.hi - v
                 if np.any(d <= 0):
-                    raise BarrierInfeasible(f"path bound hi on state {pb.state_index}")
+                    raise _path_infeasible(problem, pb, "hi", k, v, d)
                 value -= mu * float(np.log(d).sum())
                 coefs[k][:, pb.state_index] += mu / d
     return value, coefs
+
+
+def _path_infeasible(problem: OcProblem, pb, side: str, k: int, v, d) -> BarrierInfeasible:
+    """The error naming the first node of segment k where the ensemble mean v
+    of a path-bounded state is on or past the bound's given side."""
+    j = int(np.flatnonzero(d <= 0)[0])
+    seg = problem.plan.segments[k]
+    where, bound = ("below", pb.lo) if side == "lo" else ("above", pb.hi)
+    return BarrierInfeasible(
+        f"the ensemble mean of state {pb.state_index} is {v[j]:.6g} at segment {k}, step {j} "
+        f"(t = {seg.t_start + seg.dt * j:.6g}), {where} its path bound {side} = {bound:.6g}"
+    )
 
 
 class _MeritEvaluator:
@@ -543,8 +555,11 @@ def solve(
             f"initial guess does not propagate (sample {err.sample_index}, "
             f"step {err.step_index}): {err}"
         ) from err
-    except BarrierInfeasible:
-        first = math.inf
+    except BarrierInfeasible as err:
+        raise ParameterError(
+            f"initial guess violates an ensemble path bound: {err}; barrier stages need "
+            "a path-feasible start"
+        ) from err
     if not np.isfinite(first):
         raise ParameterError(
             "objective is not finite at the initial guess (propagation diverged "

@@ -19,7 +19,8 @@ each segment starts where the one before ends, there are no gaps, and the
 sweeps carry the costate across interfaces, one segment after another. The
 finite-difference cross-check, `fd_objective_gradient`, runs
 each segment once with all its perturbed copies along the sample axis, for
-every plan and scheme.
+every plan and scheme; each perturbed copy joins the march at the step its
+perturbation enters, from the unperturbed rows' state and running cost.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ParameterError, PropagationError, ShapeMismatchError
-from .gradients import _steps_per_block, backward_gradient, _segments_per_sweep
+from .gradients import backward_gradient, _segments_per_sweep
 from .grids import ControlSchedule, ShootingPlan
-from .integrators import StepScheme, _march, _segment_inputs, propagate_segment
+from .integrators import (
+    StepScheme, _march, _march_buffer, _segment_inputs, propagate_segment,
+)
 from .models import DynamicsModel
 from .sampling import RandomInputSpec, _check_seed, sample_initial_ensemble
 
@@ -294,8 +297,10 @@ def _march_group(problem: OcProblem, controls, starts, group, start, run):
         if k > first and starts:
             x = starts[k - 1]
         x, u = _segment_inputs(problem.model, x, controls[k])
-        for x in _march(problem.segment_scheme(k), problem.model, x, u):
+        for _, states in _march(problem.segment_scheme(k), problem.model, x, u,
+                                _march_buffer(x.shape, u.shape[0])):
             pass
+        x = states[-1]
     raise failure
 
 
@@ -372,31 +377,31 @@ def _marched_costs(problem: OcProblem, point: NlpPoint):
     """(final ensemble, per-segment node means of the running cost) from
     marching the segments as `forward_pass` would, keeping no trajectory.
 
-    The running cost is reduced one time block of nodes at a time: each
-    node's mean over the samples lands in a per-segment array, as the stored
-    stack would give it. The node means are None without a running cost.
+    The march writes each block of states into one node block, whose
+    running cost is reduced at once: each node's mean over the samples lands
+    in a per-segment array, as the stored stack would give it. The node
+    means are None without a running cost.
     """
     _check_layout(problem, point)
     cost, model = problem.cost, problem.model
 
     def run(scheme, x, u):
         x, u = _segment_inputs(model, x, u)
-        march = _march(scheme, model, x, u)
-        if not cost.has_running:
-            for x in march:
-                pass
-            return x, None
         n_steps = u.shape[0]
+        march = _march(scheme, model, x, u, _march_buffer(x.shape, n_steps))
+        if not cost.has_running:
+            for _, nodes in march:
+                pass
+            return nodes[-1], None
         means = np.empty((x.shape[0], n_steps))
-        block = _steps_per_block(x.shape[0] * x.shape[1], model.n)
-        nodes = np.empty((min(block, n_steps),) + x.shape)
-        for first in range(0, n_steps, block):
-            count = min(block, n_steps - first)
-            for i in range(count):
-                nodes[i] = x
-                x = next(march)
-            means[:, first : first + count] = cost.running_value(nodes[:count]).mean(axis=2).T
-        return x, means
+        means[:, :1] = cost.running_value(x[None]).mean(axis=2).T
+        for first, nodes in march:
+            # nodes first + 1 .. first + count; the last node has no running cost
+            count = min(len(nodes), n_steps - 1 - first)
+            means[:, first + 1 : first + 1 + count] = (
+                cost.running_value(nodes[:count]).mean(axis=2).T
+            )
+        return nodes[-1], means
 
     n_seg = len(point.controls)
     finals, node_means = [None] * n_seg, [None] * n_seg
@@ -606,10 +611,13 @@ def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoi
 
     With its start states given, a segment's share of the objective depends
     only on its own controls and start states, so each segment takes one
-    vectorized forward run: two perturbed copies of the ensemble per control
-    entry and, after the first segment, two perturbed copies of one sample
-    per start-state entry ride along the sample axis. Steps follow
-    `fd_gradient`: h, or 1e-6 * (1 + |coordinate|).
+    vectorized forward run with its perturbed copies along the sample axis:
+    the M base samples, then, after the first segment, two perturbed copies
+    of one sample per start-state entry, then two perturbed copies of the
+    ensemble per control entry, grouped by step. A copy perturbed at step j
+    equals the base ensemble until then, so each perturbed copy joins the
+    march at the step its perturbation enters, with the base rows' state and
+    running-cost sum. Steps follow `fd_gradient`: h, or 1e-6 * (1 + |coordinate|).
     """
     last = problem.n_segments - 1
     if len(point.controls) != last + 1 or len(point.interface_states) != last:
@@ -627,40 +635,60 @@ def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoi
     du, dx0 = [], []
     for k, seg in enumerate(problem.plan.segments):
         base_u = point.controls[k]
-        n_pert = base_u.size
+        n_steps, m = base_u.shape
         steps = fd_steps(base_u)
         x0 = initial_ensemble(problem) if k == 0 else point.interface_states[k - 1]
-        # rows: copy-major, sample-minor ensemble copies, then one-sample copies
-        state = np.repeat(x0[None, :, :], 2 * n_pert, axis=0).reshape(-1, n)
+        parts = [x0]
         if k > 0:
             hx = fd_steps(x0)
             one = np.repeat(x0, 2 * n, axis=0)
             e = np.arange(x0.size)
             one[2 * e, e % n] += hx
             one[2 * e + 1, e % n] -= hx
-            state = np.concatenate([state, one])
-        n_rows, n_ens = state.shape[0], 2 * n_pert * M
+            parts.append(one)
+        # the ensemble copies of step j, copies 2c and 2c + 1 of control
+        # entry c = j m + channel, take rows live[j - 1]:live[j]
+        fixed = sum(len(part) for part in parts)
+        per_step = 2 * m * M
+        live = fixed + per_step * np.arange(1, n_steps + 1)
+        state = np.concatenate(parts + [np.tile(x0, (2 * m, 1))])
+        ch = np.arange(m)
 
         def control_rows(j):
-            # step j of every row; ensemble copies 2c and 2c + 1 differ from
-            # the base in control entry c
-            rows = np.tile(base_u[j], (n_rows, 1))
-            ch = np.arange(base_u.shape[1])
-            c = j * ch.size + ch
-            ens = rows[:n_ens].reshape(n_pert, 2, M, ch.size)
-            ens[c, 0, :, ch] += steps[c][:, None]
-            ens[c, 1, :, ch] -= steps[c][:, None]
+            rows = np.tile(base_u[j], (live[j], 1))
+            c = j * m + ch
+            ens = rows[live[j] - per_step :].reshape(m, 2, M, m)
+            ens[ch, 0, :, ch] += steps[c][:, None]
+            ens[ch, 1, :, ch] -= steps[c][:, None]
             return rows
 
-        running = np.zeros(n_rows)
-        rows_at = (control_rows(j) for j in range(base_u.shape[0]))
-        for x in _march(problem.segment_scheme(k), problem.model, state, rows_at):
-            if has_running:
-                running += seg.dt * cost.running_value(state)
-            state = x
-        value = cost.terminal_value(state) + running if k == last else running
+        running = np.zeros(live[-1])
+        if has_running:
+            running[: live[0]] += seg.dt * cost.running_value(state)
+        march = _march(
+            problem.segment_scheme(k), problem.model, state,
+            (control_rows(j) for j in range(n_steps)),
+            _march_buffer((live[-1], n), n_steps), (M, live),
+        )
+        for first, nodes in march:
+            if not has_running:
+                continue
+            # node i, as many rows as took step i - 1; the last node has no
+            # running cost
+            for i, x in enumerate(nodes[: n_steps - 1 - first], first + 1):
+                running[: live[i - 1]] += seg.dt * cost.running_value(x[: live[i - 1]])
+                running[live[i - 1] : live[i]] = np.tile(running[:M], 2 * m)
+        # the terminal cost over the copies alone, ensemble copies first:
+        # its matrix-vector product may round a row by its place among the
+        # rows, and this keeps the values independent of the base rows and
+        # of the joins
+        order = np.r_[fixed : live[-1], M:fixed]
+        value = running[order]
+        if k == last:
+            value = cost.terminal_value(nodes[-1][order]) + value
+        n_ens = live[-1] - fixed
 
-        per_copy = value[:n_ens].reshape(2 * n_pert, M).mean(axis=1)
+        per_copy = value[:n_ens].reshape(-1, M).mean(axis=1)
         plus, minus = per_copy[0::2], per_copy[1::2]
         q = cost.control_energy
         if q != 0.0:
@@ -672,4 +700,3 @@ def fd_objective_gradient(problem: OcProblem, point: NlpPoint, h=None) -> NlpPoi
             per_row = value[n_ens:] / M
             dx0.append(((per_row[0::2] - per_row[1::2]) / (2.0 * hx)).reshape(x0.shape))
     return NlpPoint(tuple(du), tuple(dx0))
-

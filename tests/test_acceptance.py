@@ -304,6 +304,25 @@ def test_criterion_7_companion_stable_configuration():
     assert elapsed <= 900.0
 
 
+@pytest.mark.parametrize("block_steps", [1, 16])
+def test_criterion_7_failure_text_is_unchanged(monkeypatch, block_steps):
+    # the known red test reports this text; it must not depend on how many
+    # steps the march takes between its finiteness checks
+    from ensemble_oc import integrators
+
+    monkeypatch.setattr(integrators, "_BLOCK_STEPS", block_steps)
+    nominal_problem = eoc.build("pde-nominal", n_nodes=32, dt=0.002)
+    with pytest.raises(eoc.ParameterError) as err:
+        eoc.solve(
+            nominal_problem,
+            config=eoc.SolverConfig(inner_tol=1e-6, outer_tol=1e-6, max_inner=250, max_outer=1),
+        )
+    assert str(err.value) == (
+        "initial guess does not propagate: "
+        "propagation produced a non-finite state (sample 0, step 9)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # criterion 8: the property suites themselves, re-run compactly
 # ---------------------------------------------------------------------------

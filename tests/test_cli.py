@@ -305,3 +305,14 @@ def test_negative_seed_leaves_no_output_directory(command, tmp_path, capsys):
     assert code == 1
     assert _one_error_line(capsys) == "error: seed must be a non-negative integer, got -1"
     assert not (tmp_path / "o").exists()
+
+
+def test_path_infeasible_start_names_the_bound(tmp_path, capsys):
+    # at zero control the ensemble-mean elevation of uav-stochastic first
+    # falls below -pi/6 at segment 0, step 21 (t = 2.1 s)
+    code = run_cli("solve", "--problem", "uav-stochastic", "--M", "20",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert "ensemble mean of state 4 is -0.537946 at segment 0, step 21 (t = 2.1)" in line
+    assert "below its path bound lo = -0.523599" in line

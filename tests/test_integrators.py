@@ -12,6 +12,7 @@ from ensemble_oc import (
     propagate_segment,
     step_jacobians,
 )
+from ensemble_oc import integrators
 from ensemble_oc.models import DynamicsModel
 
 
@@ -291,3 +292,112 @@ def test_domain_error_carries_step_index(kind, step_index):
         propagate_segment(StepScheme(kind, 0.1), Capped(), x0, np.zeros((10, 1)))
     assert err.value.sample_index == 1
     assert err.value.step_index == step_index
+
+
+class Cliff(DynamicsModel):
+    """x' = 1 below the cliff at x = 1 and an infinite slope on or past it,
+    so a state turns non-finite at a step that is known in advance."""
+
+    n = 1
+    m = 1
+    name = "cliff"
+
+    def rhs(self, x, u):
+        return np.where(x < 1.0, 1.0, np.inf)
+
+    def jac_x(self, x, u):
+        return np.zeros(x.shape + (1,))
+
+    def jac_u(self, x, u):
+        return np.zeros(x.shape + (1,))
+
+
+class GuardedCliff(Cliff):
+    """A cliff whose rhs refuses a non-finite state with the given exception."""
+
+    def __init__(self, refuse):
+        self.refuse = refuse
+
+    def rhs(self, x, u):
+        if not np.isfinite(x).all():
+            self.refuse()
+        return super().rhs(x, u)
+
+
+def _refuse_domain():
+    raise DomainError("state is not finite", sample_index=0)
+
+
+def _refuse_value():
+    raise ValueError("state is not finite")
+
+
+def _refuse_warning():
+    warnings.warn("state is not finite", RuntimeWarning)
+
+
+def _failure(scheme, model, x0, n_steps=30):
+    with pytest.raises(Exception) as err:
+        propagate_segment(scheme, model, x0, np.zeros((n_steps,) + x0.shape[:-2] + (1,)))
+    return type(err.value), str(err.value), err.value.sample_index, err.value.step_index
+
+
+_SAMPLES = np.array([[0.05], [0.43], [0.43]])
+_NOT_FINITE = "propagation produced a non-finite state (sample {}, step {})"
+
+
+# x_j = x0 + 0.1 j until the cliff: sample 1 (x0 = 0.43) meets it first, in
+# the rhs at x_6 under euler and ab2 and in the last rk4 stage of step 5; an
+# ab2 start at 0.95 meets it in the last stage of its rk2 bootstrap step 0.
+# Stacked, sample 1 of the second segment is row 4 of the flattened samples.
+@pytest.mark.parametrize("kind, x0, sample, step", [
+    ("euler", _SAMPLES, 1, 6),
+    ("rk4", _SAMPLES, 1, 5),
+    ("ab2", _SAMPLES, 1, 6),
+    ("ab2", np.array([[0.05], [0.95], [0.43]]), 1, 0),
+    ("euler", np.stack([_SAMPLES * 0 + 0.05, _SAMPLES]), 4, 6),
+], ids=["euler", "rk4", "ab2", "ab2-bootstrap", "euler-stacked"])
+@pytest.mark.parametrize("block_steps", [1, 4, 16])
+def test_non_finite_step_inside_a_block_is_named_as_per_step(
+    monkeypatch, kind, x0, sample, step, block_steps
+):
+    monkeypatch.setattr(integrators, "_BLOCK_STEPS", block_steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _failure(StepScheme(kind, 0.1), Cliff(), x0)
+    assert got == (PropagationError, _NOT_FINITE.format(sample, step), sample, step)
+
+
+@pytest.mark.parametrize("refuse", [_refuse_domain, _refuse_value, _refuse_warning],
+                         ids=["domain", "value", "warning"])
+@pytest.mark.parametrize("kind", ["euler", "ab2"])
+def test_error_after_a_non_finite_step_of_its_block_gives_way(monkeypatch, kind, refuse):
+    # sample 1 turns non-finite in step 6 and the rhs of step 7 refuses it;
+    # with one step per block the refusal is never reached
+    for block_steps in (1, 16):
+        monkeypatch.setattr(integrators, "_BLOCK_STEPS", block_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _failure(StepScheme(kind, 0.1), GuardedCliff(refuse), _SAMPLES)
+        assert got == (PropagationError, _NOT_FINITE.format(1, 6), 1, 6)
+
+
+@pytest.mark.parametrize("block_steps", [1, 3, 16])
+def test_domain_error_inside_a_block_gets_its_step(monkeypatch, block_steps):
+    monkeypatch.setattr(integrators, "_BLOCK_STEPS", block_steps)
+    x0 = np.array([[-1.0], [0.02], [-0.3]])
+    with pytest.raises(DomainError) as err:
+        propagate_segment(StepScheme("rk4", 0.1), Capped(), x0, np.zeros((10, 1)))
+    assert (err.value.sample_index, err.value.step_index) == (1, 5)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_block_length_leaves_the_states_unchanged(monkeypatch, kind, rng):
+    model = UgvDifferentialDrive(random_radius=True)
+    x0 = rng.uniform(0.5, 1.5, (5, 4))
+    controls = rng.uniform(-1.0, 1.0, (37, 2))
+    scheme = StepScheme(kind, 0.05)
+    want = propagate_segment(scheme, model, x0, controls)
+    for block_steps in (1, 2, 5):
+        monkeypatch.setattr(integrators, "_BLOCK_STEPS", block_steps)
+        np.testing.assert_array_equal(propagate_segment(scheme, model, x0, controls), want)

@@ -299,7 +299,7 @@ def test_bicycle_linearize_names_sample_of_bad_steering(rng):
 def test_stacked_segments_equal_per_segment_calls(name, n_samples):
     # K = 2 segments stacked on a leading axis: states (K, M, n) with
     # control rows (K, 1, m), blocks (B, K, M, n) with (B, K, 1, m)
-    from ensemble_oc.integrators import StepScheme, _rk_step
+    from ensemble_oc.integrators import StepScheme, _rk_stepper
 
     model = _VJP_MODELS[name]()
     rng = np.random.Generator(np.random.Philox(7))
@@ -309,15 +309,15 @@ def test_stacked_segments_equal_per_segment_calls(name, n_samples):
     x = np.array([[d[0] for d in row] for row in draws])
     u = np.array([[d[1] for d in row] for row in draws])[:, :, None, :]
     lam = np.array([[d[2] for d in row] for row in draws])
-    scheme = StepScheme("rk4", 0.01)
+    rk4 = _rk_stepper(StepScheme("rk4", 0.01))
     pull = model.linearize(x, u)
     for j in range(n_rows):
         rhs = model.rhs(x[j], u[j])
-        step = _rk_step(scheme, model, x[j], u[j])
+        step = rk4(model, x[j], u[j])
         lam_x, lam_u = pull(j, lam[j])
         for k in range(n_seg):
             assert np.array_equal(rhs[k], model.rhs(x[j, k], u[j, k, 0]))
-            assert np.array_equal(step[k], _rk_step(scheme, model, x[j, k], u[j, k, 0]))
+            assert np.array_equal(step[k], rk4(model, x[j, k], u[j, k, 0]))
             one_x, one_u = model.linearize(x[:, k], u[:, k])(j, lam[j, k])
             assert np.array_equal(lam_x[k], one_x)
             assert np.array_equal(lam_u[k], one_u)

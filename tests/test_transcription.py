@@ -325,6 +325,70 @@ def test_batched_fd_matches_serial_every_plan(rng, segments, kind, running):
     assert np.abs(batched - serial).max() <= 1e-8 * (1.0 + np.abs(serial).max())
 
 
+def _serial_fd(problem, point):
+    """The centered differences of `fd_objective_gradient`, one perturbed
+    coordinate at a time: each copy marches all M samples from step 0 through
+    `propagate_segment`, and its running cost is summed node by node."""
+    cost, M, n = problem.cost, problem.M, problem.model.n
+    last = problem.n_segments - 1
+    du, dx0 = [], []
+    for k, seg in enumerate(problem.plan.segments):
+        scheme = problem.segment_scheme(k)
+        base_u = point.controls[k]
+        x0 = tr.initial_ensemble(problem) if k == 0 else point.interface_states[k - 1]
+
+        def values(start, u):
+            states = eoc.propagate_segment(scheme, problem.model, start, u)
+            running = np.zeros(M)
+            if cost.has_running:
+                for node in states[:-1]:
+                    running += seg.dt * cost.running_value(node)
+            return cost.terminal_value(states[-1]) + running if k == last else running
+
+        steps = 1e-6 * (1.0 + np.abs(base_u.ravel()))
+        plus, minus = np.empty(base_u.size), np.empty(base_u.size)
+        for c in range(base_u.size):
+            for out, sign in ((plus, 1.0), (minus, -1.0)):
+                u = base_u.copy()
+                u.flat[c] += sign * steps[c]
+                out[c] = values(x0, u).mean()
+        u0 = base_u.ravel()
+        if cost.control_energy != 0.0:
+            q = cost.control_energy
+            plus = plus + 0.5 * q * seg.dt * ((u0 + steps) ** 2 - u0**2)
+            minus = minus + 0.5 * q * seg.dt * ((u0 - steps) ** 2 - u0**2)
+        du.append(((plus - minus) / (2.0 * steps)).reshape(base_u.shape))
+        if k > 0:
+            hx = 1e-6 * (1.0 + np.abs(x0.ravel()))
+            grad = np.empty(x0.size)
+            for e in range(x0.size):
+                s, i = divmod(e, n)
+                ends = []
+                for sign in (1.0, -1.0):
+                    start = x0.copy()
+                    start[s, i] += sign * hx[e]
+                    ends.append(values(start, base_u)[s] / M)
+                grad[e] = (ends[0] - ends[1]) / (2.0 * hx[e])
+            dx0.append(grad.reshape(x0.shape))
+    return NlpPoint(tuple(du), tuple(dx0))
+
+
+@pytest.mark.parametrize("running", [False, True])
+@pytest.mark.parametrize("kind", ["rk4", "ab2"])
+@pytest.mark.parametrize("segments", [1, 2, 3])
+def test_joined_fd_copies_equal_the_serial_copies_bit_for_bit(rng, segments, kind, running):
+    # each copy joins the batched march at the step its perturbation enters,
+    # with the base rows' state, rhs history and running-cost sum
+    problem = _ugv_instance(M=3, segments=segments, steps=5).replace(scheme=StepScheme(kind))
+    if running:
+        problem = _running_cost(problem)
+    point = _random_point(problem, rng)
+    got = tr.fd_objective_gradient(problem, point)
+    want = _serial_fd(problem, point)
+    for g, w in zip(got.controls + got.interface_states, want.controls + want.interface_states):
+        np.testing.assert_array_equal(g, w)
+
+
 @pytest.mark.parametrize("kind", ["ab2", "rk4", "euler"])
 def test_batched_fd_memory_flat_in_steps(kind, rng):
     # one copied ensemble is rows x n floats; the pass keeps a few states and
